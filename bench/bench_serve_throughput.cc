@@ -2,17 +2,30 @@
 //
 // Builds one index, then drives it with `--clients` closed-loop threads
 // drawing queries zipfian-skewed from a fixed pool (so the result cache has
-// something to hit). Three serving configurations are swept by default:
+// something to hit). These serving configurations are swept by default:
 //
 //   direct        every client calls SimilarityIndex::Knn itself — the
 //                 baseline the service must beat
+//   blocking      the service at default options, clients calling the
+//                 blocking QueryService::Knn, which runs inline on the
+//                 client's thread whenever the queue is empty and an
+//                 execution thread is free
+//   blocking 2x clients
+//                 the same with twice the clients, so they outnumber the
+//                 service's execution threads (at --threads=T <= clients)
+//                 and part of the load takes the queue
 //   max_batch=1   the service with micro-batching disabled (pure queue +
 //                 scheduler overhead, one request per KnnBatch call)
 //   max_batch>=8  real micro-batching; each flush fans one KnnBatch out
 //                 over the pool
 //
-// For each row the table reports sustained QPS, p50/p95/p99 total latency
-// (admission -> response), mean flushed batch size, and the cache hit rate.
+// The max_batch rows submit with SubmitKnn(...).get(), which always goes
+// through the queue, so they keep measuring the scheduler and batching.
+//
+// For each row the table reports sustained QPS, that QPS as a fraction of
+// the direct row's (QPSvsDirect, taken from one run so host speed cancels
+// out), p50/p95/p99 total latency (admission -> response), mean flushed
+// batch size, and the cache hit rate.
 // `--json` (default BENCH_serve.json) emits the same table machine-readable
 // so CI can track the serving perf trajectory across PRs, and
 // `--metrics-json=FILE` dumps the last service configuration's full metrics
@@ -176,6 +189,7 @@ std::vector<std::vector<double>> MakeQueryPool(const Dataset& ds,
 
 struct RunStats {
   double wall_seconds = 0.0;
+  size_t requests = 0;        // completed across all clients
   HistogramSnapshot latency;  // total_us per request
   double mean_batch = 0.0;
   double cache_hit_rate = 0.0;
@@ -205,18 +219,22 @@ RunStats RunDirect(const SearchIndex& index,
   for (auto& t : clients) t.join();
   RunStats stats;
   stats.wall_seconds = wall.Seconds();
+  stats.requests = config.clients * config.requests;
   stats.latency = SnapshotHistogram(latency);
   return stats;
 }
 
-/// The service under one max_batch setting, closed-loop clients.
+/// The service under one max_batch setting, `num_clients` closed-loop
+/// clients. `blocking` clients call QueryService::Knn (inline when idle);
+/// the others submit through the queue with SubmitKnn(...).get().
 RunStats RunService(const SearchIndex& index,
                     const std::vector<std::vector<double>>& pool,
-                    const Config& config, size_t max_batch) {
+                    const Config& config, size_t max_batch, bool blocking,
+                    size_t num_clients) {
   ServeOptions options;
   options.max_batch = max_batch;
   options.max_delay_us = 200;
-  options.queue_capacity = config.clients * 4;
+  options.queue_capacity = num_clients * 4;
   options.cache_capacity = config.cache;
   options.num_threads = config.threads;
   QueryService service(index, options);
@@ -225,12 +243,14 @@ RunStats RunService(const SearchIndex& index,
   std::atomic<uint64_t> errors{0};
   WallTimer wall;
   std::vector<std::thread> clients;
-  for (size_t c = 0; c < config.clients; ++c) {
+  for (size_t c = 0; c < num_clients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(0xC11E57 + c);  // same streams as the direct baseline
       for (size_t r = 0; r < config.requests; ++r) {
+        const std::vector<double>& query = pool[zipf.Sample(rng)];
         const ServeResponse response =
-            service.Knn(pool[zipf.Sample(rng)], config.k);
+            blocking ? service.Knn(query, config.k)
+                     : service.SubmitKnn(query, config.k).get();
         if (!response.status.ok()) errors.fetch_add(1);
       }
     });
@@ -242,6 +262,7 @@ RunStats RunService(const SearchIndex& index,
   const ServeMetricsSnapshot snap = service.MetricsSnapshot();
   RunStats stats;
   stats.wall_seconds = wall_seconds;
+  stats.requests = num_clients * config.requests;
   stats.latency = snap.total_us;
   stats.mean_batch = snap.batch_size.mean;
   stats.cache_hit_rate = snap.CacheHitRate();
@@ -266,29 +287,38 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const size_t total = config.clients * config.requests;
   Table t("Serve throughput: " + std::to_string(config.clients) +
           " closed-loop clients x " + std::to_string(config.requests) +
           " x " + std::to_string(config.k) + "-NN, " +
           std::to_string(ds.size()) + " series, pool " +
           std::to_string(config.pool) + ", zipf " +
           Table::Num(config.zipf, 3));
-  t.SetHeader({"Mode", "QPS", "P50us", "P95us", "P99us", "MeanBatch",
-               "CacheHitRate", "Errors"});
+  t.SetHeader({"Mode", "QPS", "QPSvsDirect", "P50us", "P95us", "P99us",
+               "MeanBatch", "CacheHitRate", "Errors"});
 
+  const auto qps = [](const RunStats& s) {
+    return s.wall_seconds > 0.0 ? s.requests / s.wall_seconds : 0.0;
+  };
+  const RunStats direct = RunDirect(index, pool, config);
   auto add_row = [&](const std::string& mode, const RunStats& s) {
-    t.AddRow({mode,
-              Table::Num(s.wall_seconds > 0.0 ? total / s.wall_seconds : 0.0,
-                         5),
+    t.AddRow({mode, Table::Num(qps(s), 5),
+              Table::Num(qps(direct) > 0.0 ? qps(s) / qps(direct) : 0.0, 3),
               Table::Num(s.latency.p50, 5), Table::Num(s.latency.p95, 5),
               Table::Num(s.latency.p99, 5), Table::Num(s.mean_batch, 3),
               Table::Num(s.cache_hit_rate, 3), std::to_string(s.errors)});
   };
 
-  add_row("direct", RunDirect(index, pool, config));
+  add_row("direct", direct);
+  const size_t default_batch = ServeOptions().max_batch;
+  add_row("blocking", RunService(index, pool, config, default_batch,
+                                 /*blocking=*/true, config.clients));
+  add_row("blocking 2x clients",
+          RunService(index, pool, config, default_batch, /*blocking=*/true,
+                     2 * config.clients));
   RunStats last_service;
   for (const size_t max_batch : config.batches) {
-    last_service = RunService(index, pool, config, max_batch);
+    last_service = RunService(index, pool, config, max_batch,
+                              /*blocking=*/false, config.clients);
     add_row("max_batch=" + std::to_string(max_batch), last_service);
   }
 
@@ -298,7 +328,7 @@ int Run(int argc, char** argv) {
     fprintf(stderr, "could not write %s\n", config.json_path.c_str());
     return 1;
   }
-  if (!config.metrics_json_path.empty() && !config.batches.empty() &&
+  if (!config.metrics_json_path.empty() &&
       !WriteMetricsJson(last_service.snapshot, config.metrics_json_path)) {
     fprintf(stderr, "could not write %s\n", config.metrics_json_path.c_str());
     return 1;
@@ -317,11 +347,9 @@ int Run(int argc, char** argv) {
                 s.ToString().c_str());
         return 1;
       }
-      const RunStats s = RunService(sharded, pool, config, /*max_batch=*/8);
-      st.AddRow({std::to_string(sharded.num_shards()),
-                 Table::Num(s.wall_seconds > 0.0 ? total / s.wall_seconds
-                                                 : 0.0,
-                            5),
+      const RunStats s = RunService(sharded, pool, config, /*max_batch=*/8,
+                                    /*blocking=*/false, config.clients);
+      st.AddRow({std::to_string(sharded.num_shards()), Table::Num(qps(s), 5),
                  Table::Num(s.latency.p50, 5), Table::Num(s.latency.p95, 5),
                  Table::Num(s.latency.p99, 5), Table::Num(s.mean_batch, 3),
                  Table::Num(s.cache_hit_rate, 3), std::to_string(s.errors)});

@@ -97,6 +97,7 @@ ServeMetricsSnapshot SnapshotMetrics(const ServeMetrics& metrics) {
   s.cache_hits = metrics.cache_hits.load();
   s.cache_misses = metrics.cache_misses.load();
   s.batches_flushed = metrics.batches_flushed.load();
+  s.executed_inline = metrics.executed_inline.load();
   s.degraded_served = metrics.degraded_served.load();
   s.rejected_unhealthy = metrics.rejected_unhealthy.load();
   s.flush_failures = metrics.flush_failures.load();
@@ -166,6 +167,7 @@ Table MetricsToTable(const ServeMetricsSnapshot& snap,
   counter("cache_misses", snap.cache_misses);
   ratio("cache_hit_rate", snap.CacheHitRate());
   counter("batches_flushed", snap.batches_flushed);
+  counter("executed_inline", snap.executed_inline);
   counter("degraded_served", snap.degraded_served);
   counter("rejected_unhealthy", snap.rejected_unhealthy);
   counter("flush_failures", snap.flush_failures);
@@ -254,7 +256,8 @@ std::string MetricsToPrometheus(const ServeMetrics& metrics,
   std::string out;
   out.reserve(8192);
   AppendCounter(out, prefix, "admitted",
-                "Requests accepted into the bounded queue.", snap.admitted);
+                "Requests that passed admission (queued or run inline).",
+                snap.admitted);
   AppendCounter(out, prefix, "rejected_overloaded",
                 "Requests refused at admission (queue full).",
                 snap.rejected_overloaded);
@@ -275,6 +278,10 @@ std::string MetricsToPrometheus(const ServeMetrics& metrics,
                 "Result-cache misses at admission time.", snap.cache_misses);
   AppendCounter(out, prefix, "batches_flushed", "Micro-batches executed.",
                 snap.batches_flushed);
+  AppendCounter(out, prefix, "executed_inline",
+                "Blocking requests run on the caller's thread as a batch of "
+                "one.",
+                snap.executed_inline);
   AppendCounter(out, prefix, "degraded_served",
                 "Requests answered inline with approximate results while "
                 "degraded.",
@@ -365,7 +372,7 @@ std::string MetricsToPrometheus(const ServeMetrics& metrics,
               "Mean lower-bound tightness over measured pairs.",
               snap.search.MeanTightness());
   AppendHistogram(out, prefix, "queue_wait_us",
-                  "Admission to flush-start wait (microseconds).",
+                  "Admission to dequeue wait, 0 inline (microseconds).",
                   metrics.queue_wait_us);
   AppendHistogram(out, prefix, "exec_us",
                   "Wall time of the flush that ran the request "
@@ -457,6 +464,7 @@ std::string MetricsToJson(const ServeMetricsSnapshot& snap) {
   counter("cache_hits", snap.cache_hits);
   counter("cache_misses", snap.cache_misses);
   counter("batches_flushed", snap.batches_flushed);
+  counter("executed_inline", snap.executed_inline);
   counter("degraded_served", snap.degraded_served);
   counter("rejected_unhealthy", snap.rejected_unhealthy);
   counter("flush_failures", snap.flush_failures);

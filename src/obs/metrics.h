@@ -24,7 +24,7 @@
 // numbers.
 //
 // Glossary (docs/OBSERVABILITY.md has the full prose):
-//   admitted            requests accepted into the bounded queue
+//   admitted            requests that passed admission (queued or inline)
 //   rejected_overloaded requests refused at admission (queue full)
 //   rejected_shutdown   requests refused because the service was stopped
 //   completed_ok        requests answered with exact results
@@ -42,7 +42,9 @@
 //   store_frame_hits/misses gauges: cold-tier decode-cache traffic
 //   cache_hits/misses   result-cache outcome at admission time
 //   batches_flushed     micro-batches executed
-//   queue_wait_us       admission -> start of the request's flush
+//   executed_inline     blocking requests run on the caller's thread as a
+//                       batch of one (also counted in batches_flushed)
+//   queue_wait_us       admission -> dequeue by the scheduler (0 inline)
 //   exec_us             wall time of the flush that ran the request
 //   total_us            admission -> response resolution
 //   batch_size          requests per flushed micro-batch
@@ -112,6 +114,7 @@ struct ServeMetrics {
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
   std::atomic<uint64_t> batches_flushed{0};
+  std::atomic<uint64_t> executed_inline{0};
 
   // Degradation ladder (serve/service.h, docs/ROBUSTNESS.md).
   std::atomic<uint64_t> degraded_served{0};
@@ -192,6 +195,7 @@ struct ServeMetricsSnapshot {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t batches_flushed = 0;
+  uint64_t executed_inline = 0;
 
   uint64_t degraded_served = 0;
   uint64_t rejected_unhealthy = 0;

@@ -9,6 +9,7 @@
 
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/parallel.h"
 
 namespace sapla {
 namespace {
@@ -43,8 +44,8 @@ const char* ServeHealthName(ServeHealth health) {
   return "unknown";
 }
 
-/// One in-flight request. Owned by the queue / scheduler; the client holds
-/// only the future.
+/// One in-flight request. Owned by the queue / scheduler, or by the calling
+/// thread while it runs inline; the client holds only the future.
 struct QueryService::Request {
   ServeOp op = ServeOp::kKnn;
   std::vector<double> query;
@@ -56,7 +57,8 @@ struct QueryService::Request {
   Clock::time_point deadline;
   bool has_deadline = false;
 
-  /// Admission -> flush-start wait, filled in by Flush for the response.
+  /// Admission -> dequeue wait, set by the scheduler as it pops the
+  /// request; stays 0 for a request that ran inline.
   uint64_t queue_us = 0;
 
   /// Set by the batch path's cancellation hook (pool workers) when the
@@ -109,7 +111,11 @@ QueryService::QueryService(const SearchIndex& index,
 QueryService::~QueryService() { Stop(); }
 
 void QueryService::Stop() {
-  stopped_.store(true);
+  {
+    std::unique_lock<std::mutex> lock(inline_mu_);
+    stopped_.store(true);
+    inline_cv_.wait(lock, [this] { return inline_running_ == 0; });
+  }
   queue_.Close();
   if (scheduler_.joinable()) scheduler_.join();
   {
@@ -125,6 +131,7 @@ void QueryService::Beat() {
 }
 
 void QueryService::RecomputeHealth() {
+  std::lock_guard<std::mutex> lock(health_mu_);
   const uint64_t streak = flush_fail_streak_.load(std::memory_order_relaxed);
   int flush_level = 0;
   if (options_.flush_failures_unhealthy != 0 &&
@@ -136,6 +143,10 @@ void QueryService::RecomputeHealth() {
   const int level = std::max(
       {flush_level, stall_level_.load(std::memory_order_relaxed),
        pressure_level_.load(std::memory_order_relaxed)});
+  // Fault point "serve/health_recompute": latency-only, holds a verdict
+  // between reading the inputs and publishing it, so a test can race a
+  // second recompute against a stale one.
+  SAPLA_FAULT_DELAY("serve/health_recompute");
   health_.store(level, std::memory_order_relaxed);
   metrics_.health.store(static_cast<uint64_t>(level),
                         std::memory_order_relaxed);
@@ -166,19 +177,19 @@ void QueryService::WatchdogLoop() {
         lock, std::chrono::microseconds(options_.watchdog_interval_us));
     if (watchdog_stop_) break;
     RefreshShardGauges();
-    // A stalled scheduler = work is waiting but the heartbeat is stale.
-    // An idle scheduler (empty queue) is blocked in PopBatch by design and
-    // never counts as stalled.
+    // A stalled scheduler = queued work has waited, and the heartbeat has
+    // been stale, for the whole threshold. An idle scheduler is blocked in
+    // PopBatch by design (stale heartbeat), and inline execution keeps it
+    // idle, so work that has only just arrived never counts as stalled.
     const uint64_t beat = heartbeat_us_.load(std::memory_order_relaxed);
     const uint64_t now = NowUs();
-    const uint64_t stale_us = now > beat ? now - beat : 0;
+    const uint64_t stall_us =
+        std::min(now > beat ? now - beat : 0, queue_.OldestWaitUs());
     int level = 0;
-    if (queue_.size() > 0) {
-      if (stale_us >= options_.stall_unhealthy_us)
-        level = 2;
-      else if (stale_us >= options_.stall_degraded_us)
-        level = 1;
-    }
+    if (stall_us >= options_.stall_unhealthy_us)
+      level = 2;
+    else if (stall_us >= options_.stall_degraded_us)
+      level = 1;
     if (level > stall_level_.load(std::memory_order_relaxed))
       metrics_.watchdog_stalls.fetch_add(1);
     stall_level_.store(level, std::memory_order_relaxed);
@@ -188,31 +199,13 @@ void QueryService::WatchdogLoop() {
 
 void QueryService::InvalidateCache() { cache_.Invalidate(); }
 
-std::future<ServeResponse> QueryService::SubmitKnn(std::vector<double> query,
-                                                   size_t k,
-                                                   uint64_t deadline_us,
-                                                   ServePriority priority) {
+std::unique_ptr<QueryService::Request> QueryService::MakeRequest(
+    ServeOp op, std::vector<double> query, size_t k, double radius,
+    uint64_t deadline_us, ServePriority priority) const {
   auto request = std::make_unique<Request>();
-  request->op = ServeOp::kKnn;
+  request->op = op;
   request->query = std::move(query);
   request->k = k;
-  request->priority = priority;
-  if (deadline_us == 0) deadline_us = options_.default_deadline_us;
-  if (deadline_us != 0) {
-    request->has_deadline = true;
-    request->deadline =
-        Clock::now() + std::chrono::microseconds(deadline_us);
-  }
-  return Submit(std::move(request));
-}
-
-std::future<ServeResponse> QueryService::SubmitRange(std::vector<double> query,
-                                                     double radius,
-                                                     uint64_t deadline_us,
-                                                     ServePriority priority) {
-  auto request = std::make_unique<Request>();
-  request->op = ServeOp::kRange;
-  request->query = std::move(query);
   request->radius = radius;
   request->priority = priority;
   if (deadline_us == 0) deadline_us = options_.default_deadline_us;
@@ -221,29 +214,95 @@ std::future<ServeResponse> QueryService::SubmitRange(std::vector<double> query,
     request->deadline =
         Clock::now() + std::chrono::microseconds(deadline_us);
   }
-  return Submit(std::move(request));
+  return request;
+}
+
+std::future<ServeResponse> QueryService::SubmitKnn(std::vector<double> query,
+                                                   size_t k,
+                                                   uint64_t deadline_us,
+                                                   ServePriority priority) {
+  return Submit(MakeRequest(ServeOp::kKnn, std::move(query), k, 0.0,
+                            deadline_us, priority),
+                /*may_run_inline=*/false);
+}
+
+std::future<ServeResponse> QueryService::SubmitRange(std::vector<double> query,
+                                                     double radius,
+                                                     uint64_t deadline_us,
+                                                     ServePriority priority) {
+  return Submit(MakeRequest(ServeOp::kRange, std::move(query), 0, radius,
+                            deadline_us, priority),
+                /*may_run_inline=*/false);
 }
 
 ServeResponse QueryService::Knn(std::vector<double> query, size_t k,
                                 uint64_t deadline_us) {
-  return SubmitKnn(std::move(query), k, deadline_us).get();
+  return SubmitBlocking(MakeRequest(ServeOp::kKnn, std::move(query), k, 0.0,
+                                    deadline_us, ServePriority::kNormal));
 }
 
 ServeResponse QueryService::Range(std::vector<double> query, double radius,
                                   uint64_t deadline_us) {
-  return SubmitRange(std::move(query), radius, deadline_us).get();
+  return SubmitBlocking(MakeRequest(ServeOp::kRange, std::move(query), 0,
+                                    radius, deadline_us,
+                                    ServePriority::kNormal));
+}
+
+ServeResponse QueryService::SubmitBlocking(std::unique_ptr<Request> request) {
+  // Counted until the answer is back, queued or inline, so TryClaimInline
+  // sees every blocking caller competing for the execution threads.
+  blocking_calls_.fetch_add(1);
+  struct Uncount {
+    std::atomic<size_t>& calls;
+    ~Uncount() { calls.fetch_sub(1); }
+  } uncount{blocking_calls_};
+  return Submit(std::move(request), /*may_run_inline=*/true).get();
 }
 
 std::future<ServeResponse> QueryService::Submit(
-    std::unique_ptr<Request> request) {
+    std::unique_ptr<Request> request, bool may_run_inline) {
   request->admitted = Clock::now();
   std::future<ServeResponse> future = request->promise.get_future();
+  // Admit's spans close before an inline execution opens its own.
+  if (Admit(request, may_run_inline)) RunInline(std::move(request));
+  return future;
+}
 
+bool QueryService::TryClaimInline() {
+  const size_t threads =
+      options_.num_threads != 0 ? options_.num_threads : NumThreads();
+  std::lock_guard<std::mutex> lock(inline_mu_);
+  if (stopped_.load() || blocking_calls_.load() > threads ||
+      health() != ServeHealth::kHealthy || queue_.size() != 0)
+    return false;
+  ++inline_running_;
+  return true;
+}
+
+void QueryService::RunInline(std::unique_ptr<Request> request) {
+  // Uncounts the call even if Flush throws, so Stop() cannot hang on it.
+  struct SlotRelease {
+    QueryService* service;
+    ~SlotRelease() {
+      std::lock_guard<std::mutex> lock(service->inline_mu_);
+      if (--service->inline_running_ == 0) service->inline_cv_.notify_all();
+    }
+  } release{this};
+  metrics_.executed_inline.fetch_add(1);
+  // The flush's own spans join the request's tree under its admit span.
+  obs::TraceContextScope trace_scope(request->trace);
+  std::vector<std::unique_ptr<Request>> batch;
+  batch.push_back(std::move(request));
+  Flush(std::move(batch));
+}
+
+bool QueryService::Admit(std::unique_ptr<Request>& request,
+                         bool may_run_inline) {
   const auto reject = [&](Status status) {
     ServeResponse response;
     response.status = std::move(status);
     request->promise.set_value(std::move(response));
-    return std::move(future);
+    return false;
   };
 
   if (stopped_.load()) {
@@ -308,7 +367,7 @@ std::future<ServeResponse> QueryService::Submit(
       metrics_.completed_ok.fetch_add(1);
       MaybeLogSlowQuery(*request, response, "ok", /*degraded=*/false);
       request->promise.set_value(std::move(response));
-      return future;
+      return false;
     }
     metrics_.cache_misses.fetch_add(1);
   }
@@ -353,7 +412,7 @@ std::future<ServeResponse> QueryService::Submit(
         if (pressure_level_.load(std::memory_order_relaxed) != 0)
           metrics_.budget_degraded.fetch_add(1);
         ResolveDegraded(request.get());
-        return future;
+        return false;
       }
       break;  // canary: through the pipeline
     }
@@ -390,6 +449,13 @@ std::future<ServeResponse> QueryService::Submit(
     }
   }
 
+  // A blocking call on an idle, healthy service runs on its own thread:
+  // it would otherwise wait out the scheduler hop for no batching gain.
+  if (may_run_inline && TryClaimInline()) {
+    metrics_.admitted.fetch_add(1);
+    return true;
+  }
+
   // A failed TryPush does not consume the request, so the promise can
   // still be resolved here. The queue charges the payload against the
   // memory budget and refuses at the hard watermark, so a saturated
@@ -408,7 +474,7 @@ std::future<ServeResponse> QueryService::Submit(
   }
   metrics_.admitted.fetch_add(1);
   metrics_.queue_depth.Record(queue_.size());
-  return future;
+  return false;
 }
 
 void QueryService::SchedulerLoop() {
@@ -418,6 +484,9 @@ void QueryService::SchedulerLoop() {
         options_.max_batch, std::chrono::microseconds(options_.max_delay_us));
     Beat();
     if (batch.empty()) return;  // closed and drained
+    const Clock::time_point dequeued = Clock::now();
+    for (auto& request : batch)
+      request->queue_us = ElapsedUs(request->admitted, dequeued);
     Flush(std::move(batch));
     Beat();
   }
@@ -499,7 +568,7 @@ void QueryService::Flush(std::vector<std::unique_ptr<Request>> batch) {
       ServeResponse response;
       response.status =
           Status::Unavailable("batch flush failed; retry later");
-      response.queue_us = ElapsedUs(request->admitted, flush_start);
+      response.queue_us = request->queue_us;
       response.total_us = ElapsedUs(request->admitted, Clock::now());
       metrics_.total_us.Record(response.total_us);
       metrics_.window_total_us.Record(response.total_us);
@@ -518,7 +587,6 @@ void QueryService::Flush(std::vector<std::unique_ptr<Request>> batch) {
   std::map<std::tuple<ServeOp, size_t, uint64_t>, std::vector<Request*>>
       groups;
   for (auto& request : batch) {
-    request->queue_us = ElapsedUs(request->admitted, flush_start);
     metrics_.queue_wait_us.Record(request->queue_us);
     if (request->DeadlinePassed(flush_start)) {
       ResolveExpired(request.get());
@@ -587,10 +655,8 @@ void QueryService::Flush(std::vector<std::unique_ptr<Request>> batch) {
     // and any flush-driven degradation lifts. Recompute before resolving
     // the promises so a caller who just received a successful canary
     // answer never reads stale degraded/unhealthy health.
-    if (flush_fail_streak_.load(std::memory_order_relaxed) != 0) {
-      flush_fail_streak_.store(0, std::memory_order_relaxed);
+    if (flush_fail_streak_.exchange(0, std::memory_order_relaxed) != 0)
       RecomputeHealth();
-    }
 
     for (size_t i = 0; i < group.size(); ++i) {
       Request* request = group[i];

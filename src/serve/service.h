@@ -23,6 +23,14 @@
 //               KnnBatch / RangeSearchBatch call on the global pool, so
 //               answers are bit-identical to per-request serial execution
 //               (the contract tests/serve_test.cc enforces).
+//   inline      A blocking Knn / Range skips the scheduler when the
+//               service is healthy, its queue is empty and the blocking
+//               calls in progress, this one included, number no more than
+//               `num_threads` (0 = NumThreads()): once admitted, it runs as
+//               a flush of one on the calling thread, so an idle service
+//               adds no queue wait. When blocking clients outnumber the
+//               threads, every call queues as above, so they micro-batch
+//               instead of time-slicing the cores.
 //   deadlines   A request past its deadline is dropped cooperatively — at
 //               flush start, or by the batch path's cancellation hook right
 //               before it would execute — and resolves to kDeadlineExceeded
@@ -43,10 +51,10 @@
 //                           never touching the stalled scheduler);
 //               unhealthy-> explicit kUnavailable.
 //               Health is driven by two signals: a watchdog thread that
-//               detects a stalled scheduler (stale heartbeat while work is
-//               queued) and a consecutive-flush-failure streak. Both
-//               recover automatically when the signal clears. Cache hits
-//               are exact and served in every state.
+//               detects a stalled scheduler (queued work waiting behind a
+//               stale heartbeat) and a consecutive-flush-failure streak.
+//               Both recover automatically when the signal clears. Cache
+//               hits are exact and served in every state.
 //
 // Thread-safety: every public method may be called concurrently from any
 // thread. The index must outlive the service. A plain SimilarityIndex must
@@ -104,6 +112,8 @@ struct ServeOptions {
   /// ...or once the oldest pending request has waited this long (µs).
   uint64_t max_delay_us = 200;
   /// Fan-out of one flushed batch (0 = global default, util/parallel.h).
+  /// Blocking calls run inline only while no more than this many are in
+  /// progress.
   size_t num_threads = 0;
   /// Result-cache entry budget (0 disables caching).
   size_t cache_capacity = 0;
@@ -118,11 +128,12 @@ struct ServeOptions {
   /// Watchdog poll period (µs); 0 disables the watchdog thread entirely
   /// (health is then driven by flush failures alone).
   uint64_t watchdog_interval_us = 0;
-  /// Scheduler-heartbeat staleness, with work queued, that flips health to
-  /// degraded. Must comfortably exceed `max_delay_us` plus a typical flush,
-  /// or a busy-but-healthy scheduler gets flagged.
+  /// How long the oldest queued request may wait behind a stale scheduler
+  /// heartbeat before health flips to degraded. Must comfortably exceed
+  /// `max_delay_us` plus a typical flush, or a busy-but-healthy scheduler
+  /// gets flagged.
   uint64_t stall_degraded_us = 100'000;
-  /// Staleness that flips health to unhealthy.
+  /// The same wait that flips health to unhealthy.
   uint64_t stall_unhealthy_us = 1'000'000;
   /// Consecutive flush failures that flip health to degraded (0 = never).
   uint64_t flush_failures_degraded = 3;
@@ -215,7 +226,11 @@ class QueryService {
       std::vector<double> query, double radius, uint64_t deadline_us = 0,
       ServePriority priority = ServePriority::kNormal);
 
-  /// Blocking conveniences for closed-loop clients.
+  /// Blocking conveniences for closed-loop clients. A request admitted
+  /// while the service is healthy, the queue is empty and no more than
+  /// `num_threads` blocking calls are in progress (this one included)
+  /// executes on the calling thread (queue_us == 0); otherwise it queues
+  /// like SubmitKnn / SubmitRange.
   ServeResponse Knn(std::vector<double> query, size_t k,
                     uint64_t deadline_us = 0);
   ServeResponse Range(std::vector<double> query, double radius,
@@ -229,8 +244,9 @@ class QueryService {
     return static_cast<ServeHealth>(health_.load(std::memory_order_relaxed));
   }
 
-  /// Stops admission, drains and executes everything already queued, and
-  /// joins the scheduler. Idempotent; later submissions get kUnavailable.
+  /// Stops admission, waits for inline executions in progress, drains and
+  /// executes everything already queued, and joins the scheduler.
+  /// Idempotent; later submissions get kUnavailable.
   void Stop();
 
   /// Live metrics registry (wait-free readers, see obs/metrics.h). The
@@ -255,7 +271,31 @@ class QueryService {
  private:
   struct Request;
 
-  std::future<ServeResponse> Submit(std::unique_ptr<Request> request);
+  /// The one request builder behind all four entry points: resolves the
+  /// deadline against ServeOptions::default_deadline_us.
+  std::unique_ptr<Request> MakeRequest(ServeOp op, std::vector<double> query,
+                                       size_t k, double radius,
+                                       uint64_t deadline_us,
+                                       ServePriority priority) const;
+  /// Admits the request, then runs it inline (blocking entry points only,
+  /// when TryClaimInline succeeds) or queues it. The future is already
+  /// resolved when the request was rejected, served from the cache or
+  /// degraded, or ran inline.
+  std::future<ServeResponse> Submit(std::unique_ptr<Request> request,
+                                    bool may_run_inline);
+  /// Knn / Range: Submit that may run inline, counted in
+  /// `blocking_calls_` until the answer is back.
+  ServeResponse SubmitBlocking(std::unique_ptr<Request> request);
+  /// Every admission step. Returns true only when the request passed them
+  /// all and TryClaimInline succeeded; otherwise it has been resolved or
+  /// queued.
+  bool Admit(std::unique_ptr<Request>& request, bool may_run_inline);
+  /// Claims an inline execution: healthy, not stopped, empty queue, and no
+  /// more than `num_threads` blocking calls in progress.
+  bool TryClaimInline();
+  /// Executes a claimed request as a flush of one on this thread, counted
+  /// in `inline_running_`.
+  void RunInline(std::unique_ptr<Request> request);
   void SchedulerLoop();
   void Flush(std::vector<std::unique_ptr<Request>> batch);
   void ResolveExpired(Request* request);
@@ -272,7 +312,10 @@ class QueryService {
   void WatchdogLoop();
   /// Stamps the scheduler heartbeat with "now".
   void Beat();
-  /// Re-derives health from the stall level and flush-failure streak.
+  /// Re-derives health from the stall level, flush-failure streak and
+  /// pressure level. Serialised by `health_mu_`: every change to an input
+  /// is followed by a call, so the last call to run sees the final inputs
+  /// even when flushes on several threads race.
   void RecomputeHealth();
   /// Copies the index's per-shard health into the metrics gauges (wait-free
   /// atomic stores; metrics_ is mutable so const readers stay current).
@@ -297,17 +340,27 @@ class QueryService {
   obs::SlowQueryLog slow_log_;
   BoundedQueue<std::unique_ptr<Request>> queue_;
   std::atomic<bool> stopped_{false};
+  /// Inline executions in progress. Claims and Stop() both take
+  /// `inline_mu_`, so no claim succeeds after Stop() sets `stopped_`, and
+  /// Stop() waits on `inline_cv_` for the count to reach zero.
+  std::mutex inline_mu_;
+  std::condition_variable inline_cv_;
+  size_t inline_running_ = 0;
+  /// Blocking Knn / Range calls between entry and answer, queued or
+  /// inline.
+  std::atomic<size_t> blocking_calls_{0};
   /// Admission counter driving ServeOptions::trace_sample_every.
   std::atomic<uint64_t> admit_seq_{0};
 
   /// Degradation-ladder state. `heartbeat_us_` is the scheduler's last
-  /// sign of life (steady-clock µs); the watchdog compares it against the
-  /// stall thresholds whenever work is queued and records the verdict in
-  /// `stall_level_`. Flush maintains `flush_fail_streak_`. Health is the
-  /// worse of the two signals.
+  /// sign of life (steady-clock µs); the watchdog compares the shorter of
+  /// its age and the oldest queued request's wait against the stall
+  /// thresholds and records the verdict in `stall_level_`. Flush maintains
+  /// `flush_fail_streak_`. Health is the worse of the two signals.
   std::atomic<uint64_t> heartbeat_us_{0};
   std::atomic<int> stall_level_{0};
   std::atomic<uint64_t> flush_fail_streak_{0};
+  std::mutex health_mu_;
   std::atomic<int> health_{0};
   /// Counts requests seen while not healthy; every eighth one becomes a
   /// canary probe through the normal pipeline so recovery is observable.

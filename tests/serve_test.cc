@@ -8,7 +8,10 @@
 // KnnBatch call. On top of that: backpressure (kOverloaded on a full
 // queue, resolved immediately), deadlines (kDeadlineExceeded, optionally
 // with an approximate lower-bound answer), the result cache (hits,
-// accounting, invalidation) and shutdown semantics.
+// accounting, invalidation), shutdown semantics, and the inline path
+// blocking calls take on an idle service (same answers and counters as the
+// index, no queue wait, only while the blocking calls in progress fit in
+// num_threads, waited for by Stop).
 
 #include "serve/service.h"
 
@@ -39,6 +42,28 @@ std::vector<std::vector<double>> SomeQueries(const Dataset& ds) {
   for (const size_t qi : {0u, 7u, 19u, 33u, 41u, 48u})
     queries.push_back(ds.series[qi].values);
   return queries;
+}
+
+void ExpectSameCounters(const SearchCounters& expected,
+                        const SearchCounters& actual,
+                        const std::string& label) {
+  EXPECT_EQ(expected.nodes_visited_internal, actual.nodes_visited_internal)
+      << label;
+  EXPECT_EQ(expected.nodes_visited_leaf, actual.nodes_visited_leaf) << label;
+  for (size_t l = 0; l < SearchCounters::kMaxLevels; ++l)
+    EXPECT_EQ(expected.nodes_visited_by_level[l],
+              actual.nodes_visited_by_level[l])
+        << label << " level " << l;
+  EXPECT_EQ(expected.nodes_pruned, actual.nodes_pruned) << label;
+  EXPECT_EQ(expected.lb_evaluations, actual.lb_evaluations) << label;
+  EXPECT_EQ(expected.exact_evaluations, actual.exact_evaluations) << label;
+  EXPECT_EQ(expected.entries_pruned_leaf, actual.entries_pruned_leaf)
+      << label;
+  EXPECT_EQ(expected.entries_pruned_node, actual.entries_pruned_node)
+      << label;
+  EXPECT_EQ(expected.lb_tightness_sum, actual.lb_tightness_sum) << label;
+  EXPECT_EQ(expected.lb_tightness_count, actual.lb_tightness_count) << label;
+  EXPECT_EQ(expected.cascade_stage, actual.cascade_stage) << label;
 }
 
 void ExpectSameResult(const KnnResult& expected, const KnnResult& actual,
@@ -219,8 +244,10 @@ TEST_F(ServeFixture, DegradedAnswersComeFromLowerBoundsOnly) {
   opt.degraded_answers = true;
   QueryService service(*index_, opt);
 
+  // SubmitKnn, not the blocking Knn: on an idle service Knn would run
+  // inline at once instead of waiting out the 50 ms window.
   const std::vector<double>& q = ds_.series[9].values;
-  const ServeResponse r = service.Knn(q, 4, /*deadline_us=*/1000);
+  const ServeResponse r = service.SubmitKnn(q, 4, /*deadline_us=*/1000).get();
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(r.approximate);
   EXPECT_EQ(r.result.num_measured, 0u);  // no raw series touched
@@ -279,6 +306,69 @@ TEST_F(ServeFixture, StopDrainsPendingAndRejectsNewRequests) {
   }
   const ServeResponse after = service.Knn(ds_.series[0].values, 3);
   EXPECT_EQ(after.status.code(), StatusCode::kUnavailable);
+}
+
+TEST_F(ServeFixture, IdleBlockingCallsRunInlineAndMatchTheIndex) {
+  ServeOptions opt;
+  opt.cache_capacity = 0;
+  QueryService service(*index_, opt);
+
+  const std::vector<size_t> queries = {0, 9, 27, 44};
+  for (const size_t qi : queries) {
+    const std::vector<double>& q = ds_.series[qi].values;
+    const std::string label = "q" + std::to_string(qi);
+
+    const ServeResponse knn = service.Knn(q, 5);
+    ASSERT_TRUE(knn.status.ok()) << knn.status.ToString();
+    EXPECT_FALSE(knn.approximate);
+    EXPECT_EQ(knn.queue_us, 0u) << label;
+    const KnnResult direct_knn = index_->Knn(q, 5);
+    ExpectSameResult(direct_knn, knn.result, label + " knn");
+    ExpectSameCounters(direct_knn.counters, knn.result.counters,
+                       label + " knn counters");
+
+    const ServeResponse range = service.Range(q, 8.0);
+    ASSERT_TRUE(range.status.ok()) << range.status.ToString();
+    EXPECT_EQ(range.queue_us, 0u) << label;
+    const KnnResult direct_range = index_->RangeSearch(q, 8.0);
+    ExpectSameResult(direct_range, range.result, label + " range");
+    ExpectSameCounters(direct_range.counters, range.result.counters,
+                       label + " range counters");
+  }
+
+  // Every call ran inline, and each still records as a flushed batch of
+  // one with no queue wait.
+  const size_t calls = 2 * queries.size();
+  const ServeMetricsSnapshot snap = service.MetricsSnapshot();
+  EXPECT_EQ(snap.executed_inline, calls);
+  EXPECT_EQ(snap.batches_flushed, calls);
+  EXPECT_EQ(snap.admitted, calls);
+  EXPECT_EQ(snap.completed_ok, calls);
+  EXPECT_EQ(snap.batch_size.max, 1u);
+  EXPECT_EQ(snap.queue_wait_us.max, 0u);
+  EXPECT_EQ(snap.queue_depth.count, 0u);  // nothing was ever queued
+}
+
+TEST_F(ServeFixture, WatchdogIgnoresWorkArrivingAtAnIdleScheduler) {
+  // An idle scheduler blocks in PopBatch, so its heartbeat is stale
+  // whenever work arrives, and blocking calls that run inline keep it idle
+  // for long stretches. A request that has just queued has not been kept
+  // waiting, so it must not read as a stall.
+  ServeOptions opt;
+  opt.cache_capacity = 0;
+  opt.max_batch = 1 << 20;
+  opt.max_delay_us = 10'000;  // the request sits queued for 10 ms
+  opt.watchdog_interval_us = 1'000;
+  opt.stall_degraded_us = 30'000;
+  QueryService service(*index_, opt);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  auto queued = service.SubmitKnn(ds_.series[2].values, 3);
+  while (queued.wait_for(std::chrono::microseconds(200)) !=
+         std::future_status::ready)
+    EXPECT_EQ(service.health(), ServeHealth::kHealthy);
+  ASSERT_TRUE(queued.get().status.ok());
+  EXPECT_EQ(service.MetricsSnapshot().watchdog_stalls, 0u);
 }
 
 TEST_F(ServeFixture, WrongQueryLengthIsInvalidArgument) {
@@ -652,6 +742,101 @@ TEST_F(ServeHealthLadder, PersistentFailuresGoUnhealthyAndReject) {
   ExpectSameResult(index_->Knn(q, 4), after.result, "healed exact");
 }
 
+TEST_F(ServeHealthLadder, AStaleHealthVerdictCannotOutliveANewerOne) {
+  // Two blocking calls flush on their own threads. The first flush fails
+  // and its health recompute is held after reading the streak; the second
+  // succeeds and clears the streak meanwhile. Health must end healthy: a
+  // degraded verdict published after the streak cleared would strand the
+  // service, because later successful flushes see no streak to clear.
+  ServeOptions opt = LadderOptions();
+  opt.num_threads = 2;  // both calls run inline
+  opt.flush_failures_degraded = 1;
+  opt.flush_failures_unhealthy = 0;
+  QueryService service(*index_, opt);
+  FailNextFlushes(1);
+  fault::PointConfig hold;
+  hold.probability = 1.0;
+  hold.max_triggers = 1;
+  hold.delay_us = 100'000;
+  fault::Configure("serve/health_recompute", hold);
+
+  const std::vector<double>& failing_q = ds_.series[3].values;
+  std::future<ServeResponse> failing = std::async(
+      std::launch::async,
+      [&service, &failing_q] { return service.Knn(failing_q, 4); });
+  // Wait until the failed flush's recompute is being held.
+  for (int i = 0; i < 10'000; ++i) {
+    bool held = false;
+    for (const fault::PointStats& p : fault::Stats())
+      held |= p.name == "serve/health_recompute" && p.evaluations > 0;
+    if (held) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(service.health(), ServeHealth::kHealthy);  // not published yet
+
+  const std::vector<double>& q = ds_.series[4].values;
+  const ServeResponse ok = service.Knn(q, 4);
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_FALSE(ok.approximate);
+  EXPECT_EQ(failing.get().status.code(), StatusCode::kUnavailable);
+
+  EXPECT_EQ(service.health(), ServeHealth::kHealthy);
+  const ServeMetricsSnapshot snap = service.MetricsSnapshot();
+  EXPECT_EQ(snap.executed_inline, 2u);
+  EXPECT_EQ(snap.flush_failures, 1u);
+}
+
+TEST_F(ServeHealthLadder, ConcurrentInlineFlushesLeaveNoStaleHealth) {
+  // Blocking calls flush on their own threads, so a failing flush and a
+  // succeeding one race on the failure streak and on health. Whatever the
+  // interleaving, health must follow the streak: once the fault clears,
+  // one canary round at most heals the service. Several seeded rounds
+  // give the race several chances.
+  ServeOptions opt = LadderOptions();
+  opt.num_threads = 4;  // all four clients fit and run inline
+  opt.flush_failures_degraded = 2;
+  opt.flush_failures_unhealthy = 0;  // stay degraded, keep canaries flowing
+  QueryService service(*index_, opt);
+  const std::vector<std::vector<double>> queries = SomeQueries(ds_);
+  std::vector<KnnResult> expected;
+  for (const auto& q : queries) expected.push_back(index_->Knn(q, 3));
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kCallsPerClient = 200;
+  for (uint64_t round = 0; round < 5; ++round) {
+    fault::Reset();
+    fault::Enable(/*seed=*/round + 1);
+    fault::PointConfig cfg;
+    cfg.probability = 0.5;
+    cfg.code = StatusCode::kUnavailable;
+    fault::Configure("serve/flush", cfg);
+
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c)
+      clients.emplace_back([&, c] {
+        for (size_t i = 0; i < kCallsPerClient; ++i) {
+          const size_t qi = (c + i) % queries.size();
+          const ServeResponse r = service.Knn(queries[qi], 3);
+          if (r.status.ok() && !r.approximate)
+            ExpectSameResult(expected[qi], r.result, "exact under faults");
+        }
+      });
+    for (auto& t : clients) t.join();
+
+    fault::Reset();
+    bool healed = service.health() == ServeHealth::kHealthy;
+    for (int i = 0; i < 2 * 8 && !healed; ++i) {
+      (void)service.Knn(queries[0], 3);
+      healed = service.health() == ServeHealth::kHealthy;
+    }
+    EXPECT_TRUE(healed) << "round " << round << ": health stuck at "
+                        << ServeHealthName(service.health());
+  }
+  const ServeMetricsSnapshot snap = service.MetricsSnapshot();
+  EXPECT_GT(snap.executed_inline, 0u);
+  EXPECT_GT(snap.flush_failures, 0u);
+}
+
 TEST_F(ServeHealthLadder, WatchdogFlagsAStalledSchedulerAndRecovers) {
   // A 150ms stall is injected into the first flush while a second request
   // waits in the queue; the watchdog (5ms interval, 30ms degraded
@@ -694,6 +879,134 @@ TEST_F(ServeHealthLadder, WatchdogFlagsAStalledSchedulerAndRecovers) {
   }
   EXPECT_TRUE(recovered) << "health never returned to healthy";
   EXPECT_GT(service.MetricsSnapshot().watchdog_stalls, 0u);
+}
+
+// Inline-path tests hold a blocking call inside Flush with the latency-only
+// fault point "serve/flush_stall" (first flush only).
+class ServeInline : public ServeFixture {
+ protected:
+  void TearDown() override { fault::Reset(); }
+
+  void StallFirstFlush(uint64_t delay_us) {
+    fault::Reset();
+    fault::Enable(/*seed=*/11);
+    fault::PointConfig stall;
+    stall.probability = 1.0;
+    stall.max_triggers = 1;
+    stall.delay_us = delay_us;
+    fault::Configure("serve/flush_stall", stall);
+  }
+
+  // A blocking Knn on another thread, returned once it runs inline (and so
+  // is stalled inside Flush).
+  std::future<ServeResponse> HeldInlineKnn(QueryService& service,
+                                           const std::vector<double>& q) {
+    auto held = std::async(std::launch::async,
+                           [&service, &q] { return service.Knn(q, 3); });
+    for (int i = 0; i < 10'000; ++i) {
+      if (service.metrics().executed_inline.load() > 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(service.metrics().executed_inline.load(), 1u);
+    return held;
+  }
+};
+
+TEST_F(ServeInline, ABlockingCallBeyondTheThreadsGoesThroughTheQueue) {
+  ServeOptions opt;
+  opt.num_threads = 1;  // one blocking call fits
+  opt.cache_capacity = 0;
+  QueryService service(*index_, opt);
+  StallFirstFlush(/*delay_us=*/500'000);
+
+  const std::vector<double>& held_q = ds_.series[0].values;
+  const std::vector<double>& q = ds_.series[1].values;
+  std::future<ServeResponse> held = HeldInlineKnn(service, held_q);
+
+  // Two blocking calls do not fit in one thread, so this one queues and the
+  // scheduler runs it.
+  const ServeResponse queued = service.Knn(q, 3);
+  ASSERT_TRUE(queued.status.ok()) << queued.status.ToString();
+  EXPECT_FALSE(queued.approximate);
+  EXPECT_GT(queued.queue_us, 0u);
+  ExpectSameResult(index_->Knn(q, 3), queued.result, "queued behind slot");
+  EXPECT_EQ(service.metrics().executed_inline.load(), 1u);
+
+  const ServeResponse first = held.get();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(first.queue_us, 0u);
+  ExpectSameResult(index_->Knn(held_q, 3), first.result, "held inline call");
+
+  const ServeMetricsSnapshot snap = service.MetricsSnapshot();
+  EXPECT_EQ(snap.admitted, 2u);
+  EXPECT_EQ(snap.batches_flushed, 2u);
+  EXPECT_EQ(snap.executed_inline, 1u);
+  EXPECT_EQ(snap.completed_ok, 2u);
+}
+
+TEST_F(ServeInline, BlockingCallersWaitingInAFlushCountAgainstTheThreads) {
+  // Nothing runs inline and the queue is empty when the last call arrives,
+  // but two blocking callers already wait inside the stalled flush. With
+  // num_threads = 2 the third is one too many, so it queues: clients that
+  // outnumber the threads micro-batch rather than time-slice the cores.
+  ServeOptions opt;
+  opt.num_threads = 2;
+  opt.cache_capacity = 0;
+  opt.max_batch = 3;
+  opt.max_delay_us = 500'000;  // the first batch flushes on size
+  QueryService service(*index_, opt);
+  StallFirstFlush(/*delay_us=*/200'000);
+
+  // An async request opens the batch; two blocking calls find the queue
+  // non-empty, queue behind it and fill it, and its flush stalls.
+  std::future<ServeResponse> opener =
+      service.SubmitKnn(ds_.series[2].values, 3);
+  const auto blocking = [&service, this](size_t qi) {
+    return std::async(std::launch::async, [&service, this, qi] {
+      return service.Knn(ds_.series[qi].values, 3);
+    });
+  };
+  std::future<ServeResponse> waiting_a = blocking(4);
+  std::future<ServeResponse> waiting_b = blocking(5);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::vector<fault::PointStats> stats = fault::Stats();
+    if (!stats.empty() && stats[0].evaluations > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const std::vector<double>& q = ds_.series[6].values;
+  const ServeResponse r = service.Knn(q, 3);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_GT(r.queue_us, 0u);
+  ExpectSameResult(index_->Knn(q, 3), r.result, "third blocking caller");
+  for (auto* f : {&opener, &waiting_a, &waiting_b})
+    ASSERT_TRUE(f->get().status.ok());
+
+  const ServeMetricsSnapshot snap = service.MetricsSnapshot();
+  EXPECT_EQ(snap.executed_inline, 0u);
+  EXPECT_EQ(snap.batches_flushed, 2u);
+}
+
+TEST_F(ServeInline, StopWaitsForInlineCallsAndRefusesLaterOnes) {
+  ServeOptions opt;
+  opt.cache_capacity = 0;
+  QueryService service(*index_, opt);
+  StallFirstFlush(/*delay_us=*/200'000);
+
+  const std::vector<double>& q = ds_.series[6].values;
+  std::future<ServeResponse> held = HeldInlineKnn(service, q);
+  service.Stop();
+  // Nothing was queued, so only the wait for the inline call can have held
+  // Stop() until the stalled call finished.
+  EXPECT_EQ(service.MetricsSnapshot().completed_ok, 1u);
+
+  const ServeResponse r = held.get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ExpectSameResult(index_->Knn(q, 3), r.result, "inline call across Stop");
+
+  EXPECT_EQ(service.Knn(q, 3).status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service.Range(q, 8.0).status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service.MetricsSnapshot().executed_inline, 1u);
 }
 
 #endif  // SAPLA_FAULT_DISABLED

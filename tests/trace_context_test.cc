@@ -16,6 +16,9 @@
 //   - flags (retry/hedge annotations) ride the ambient context even when
 //     unsampled, so the slow-query log can attribute attempts with tracing
 //     off
+//   - a blocking request that runs inline on the caller's thread is still
+//     one tree rooted at its serve/admit span, which closes before any
+//     execution span opens
 
 #include "obs/trace.h"
 
@@ -187,6 +190,58 @@ TEST_F(TraceContextTest, OneRequestOneTraceIdAcrossSchedulerShardsAndHedge) {
     if (std::string(e.name) == "serve/admit") {
       EXPECT_EQ(e.trace_id, response.trace_id);
     }
+  }
+}
+
+TEST_F(TraceContextTest, InlineRequestIsOneTreeAndAdmitClosesFirst) {
+  SKIP_IF_TRACING_COMPILED_OUT();
+  const Dataset ds = SmallDataset();
+  SimilarityIndex index(Method::kSapla, 12, IndexKind::kDbchTree);
+  ASSERT_TRUE(index.Build(ds).ok());
+
+  ServeOptions opt;
+  opt.cache_capacity = 0;  // no cache spans nested under serve/admit
+  opt.trace_sample_every = 1;
+  QueryService service(index, opt);
+
+  obs::SetTraceEnabled(true);
+  const ServeResponse response = service.Knn(ds.series[4].values, 3);
+  obs::SetTraceEnabled(false);
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_NE(response.trace_id, 0u);
+  ASSERT_EQ(service.MetricsSnapshot().executed_inline, 1u);
+
+  std::vector<obs::TraceEvent> spans;
+  for (const obs::TraceEvent& e : obs::CollectTrace())
+    if (e.trace_id == response.trace_id) spans.push_back(e);
+  std::set<uint64_t> ids;
+  std::set<std::string> names;
+  std::set<uint32_t> tids;
+  for (const obs::TraceEvent& e : spans) {
+    ids.insert(e.span_id);
+    names.insert(e.name);
+    tids.insert(e.tid);
+  }
+  for (const char* required :
+       {"serve/admit", "serve/flush", "serve/exec_group", "batch/query"})
+    EXPECT_TRUE(names.count(required)) << "missing span " << required;
+  // The calling thread did all of the work.
+  EXPECT_EQ(tids.size(), 1u);
+
+  // One tree: serve/admit is the only span whose parent lies outside the
+  // trace, and every execution span opens after it has closed.
+  const obs::TraceEvent* admit = nullptr;
+  for (const obs::TraceEvent& e : spans) {
+    if (ids.count(e.parent_span_id)) continue;
+    EXPECT_EQ(admit, nullptr) << "second root " << e.name;
+    admit = &e;
+  }
+  ASSERT_NE(admit, nullptr);
+  EXPECT_EQ(std::string(admit->name), "serve/admit");
+  for (const obs::TraceEvent& e : spans) {
+    if (&e == admit) continue;
+    EXPECT_GE(e.start_us, admit->start_us + admit->dur_us)
+        << e.name << " opened before serve/admit closed";
   }
 }
 

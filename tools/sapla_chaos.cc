@@ -256,9 +256,18 @@ void RunServeCase(const Config& config, Method method, IndexKind kind,
     // Every 13th request carries a deadline too short to survive the
     // batching window, keeping the deadline path under fault pressure too.
     const uint64_t deadline_us = i % 13 == 0 ? 1 : 0;
-    const ServeResponse r =
-        knn ? service.Knn(pool[qi], config.k, deadline_us)
-            : service.Range(pool[qi], config.radius, deadline_us);
+    // Every other knn/range pair goes through a future, which always
+    // queues; blocking calls run inline while the service is idle. Faults
+    // reach both paths.
+    ServeResponse r;
+    if (i / 2 % 2 == 1) {
+      r = (knn ? service.SubmitKnn(pool[qi], config.k, deadline_us)
+               : service.SubmitRange(pool[qi], config.radius, deadline_us))
+              .get();
+    } else {
+      r = knn ? service.Knn(pool[qi], config.k, deadline_us)
+              : service.Range(pool[qi], config.radius, deadline_us);
+    }
     const std::string where =
         label + " query " + std::to_string(i) + (knn ? " (knn)" : " (range)");
 
