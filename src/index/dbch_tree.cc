@@ -276,8 +276,8 @@ TreeStats DbchTree::ComputeStats() const {
 }
 
 void DbchTree::BestFirstSearch(const QueryDistFn& query_dist,
-                               const VisitFn& visit,
-                               SearchCounters* counters) const {
+                               const VisitFn& visit, SearchCounters* counters,
+                               double bound) const {
   struct QItem {
     double dist;
     int node;
@@ -286,7 +286,6 @@ void DbchTree::BestFirstSearch(const QueryDistFn& query_dist,
   };
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
   pq.push({0.0, root_, 0});
-  double bound = std::numeric_limits<double>::infinity();
   while (!pq.empty()) {
     const QItem item = pq.top();
     pq.pop();

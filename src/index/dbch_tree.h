@@ -37,6 +37,7 @@
 // representations in all experiments).
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,11 +87,14 @@ class DbchTree {
   TreeStats ComputeStats() const;
 
   /// Best-first traversal using the §5.3 node distance. Nodes whose distance
-  /// exceeds the bound returned by `visit` are pruned. When `counters` is
-  /// non-null the traversal records node expansions by level and node-level
-  /// pruning into it (obs/counters.h).
-  void BestFirstSearch(const QueryDistFn& query_dist, const VisitFn& visit,
-                       SearchCounters* counters = nullptr) const;
+  /// exceeds the pruning bound — `bound` at the start, then the bound
+  /// returned by `visit` — are pruned. When `counters` is non-null the
+  /// traversal records node expansions by level and node-level pruning into
+  /// it (obs/counters.h).
+  void BestFirstSearch(
+      const QueryDistFn& query_dist, const VisitFn& visit,
+      SearchCounters* counters = nullptr,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// Deterministic byte encoding of the full tree structure (node shapes,
   /// entry ids, hull endpoints and volumes). Restore of the produced bytes

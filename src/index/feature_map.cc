@@ -103,36 +103,81 @@ FeatureMapper::Box FeatureMapper::MapBox(const RepView& rep,
   return box;
 }
 
-double FeatureMapper::ApcaRegionMinDist(const std::vector<double>& q,
-                                        const std::vector<double>& lo,
-                                        const std::vector<double>& hi) const {
-  // Keogh's APCA MBR MINDIST: region i spans time
-  //   [ lo[2(i-1)+1] + 1 , hi[2i+1] ]   (region 0 starts at t = 0)
-  // with value range [ lo[2i], hi[2i] ]. Every t is covered by >= 1 region;
-  // its contribution is the min squared gap to any covering region's value
-  // range. Both region boundaries are nondecreasing in i, so a two-pointer
-  // sweep gives O(n + N + total overlap).
+FeatureMapper::Query FeatureMapper::PrepareQuery(
+    const std::vector<double>& raw, const RepView& rep) const {
+  SAPLA_DCHECK(raw.size() == n_);
+  Query q;
+  q.rep = rep;
+  q.prefix.resize(raw.size() + 1);
+  q.prefix[0] = 0.0;
+  double abs_sum = 0.0;
+  for (size_t t = 0; t < raw.size(); ++t) {
+    q.prefix[t + 1] = q.prefix[t] + raw[t];
+    abs_sum += std::abs(raw[t]);
+  }
+  // Left-to-right summation errs by at most n*u*sum|q| per prefix; the
+  // difference of two prefixes and the division by the interval length
+  // add a few ulps more. (2n + 16) u covers all of it.
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+  q.sum_error = (2.0 * static_cast<double>(n_) + 16.0) * kUnitRoundoff * abs_sum;
+  return q;
+}
+
+double FeatureMapper::ApcaRegionBound(const Query& q,
+                                      const std::vector<double>& lo,
+                                      const std::vector<double>& hi) const {
+  // Keogh's APCA MBR: region i spans time [start(i), end(i)) with value
+  // range [lo[2i], hi[2i]], where start(0) = 0, start(i) = lo[2i-1] + 1
+  // (the earliest end of the previous segment, plus one) and end(i) =
+  // hi[2i+1] + 1. Both are nondecreasing in i and the regions cover
+  // [0, n). Cutting [0, n) at every start and end leaves <= 2R pieces,
+  // each covered by one contiguous run of regions [first, past).
+  //
+  // For every member x and time t, x_t lies in the value range of some
+  // region covering t, hence in the run's hull [min lo, max hi], so
+  // (q_t - x_t)^2 >= gap(q_t, hull)^2. gap^2 is convex, so by Jensen a
+  // piece [a, b) contributes at least (b - a) * gap(mean of q over it)^2,
+  // and the mean comes from the prefix sums: O(R + overlap) per box.
   const size_t num_regions = dims_ / 2;
-  auto tmin = [&](size_t i) -> double {
-    return i == 0 ? 0.0 : lo[2 * (i - 1) + 1] + 1.0;
+  const auto start = [&](size_t i) {
+    return i == 0 ? 0.0 : lo[2 * i - 1] + 1.0;
   };
-  auto tmax = [&](size_t i) -> double { return hi[2 * i + 1]; };
+  const auto end = [&](size_t i) { return hi[2 * i + 1] + 1.0; };
 
   double sum = 0.0;
-  size_t j_lo = 0;
-  for (size_t t = 0; t < q.size(); ++t) {
-    const double td = static_cast<double>(t);
-    while (j_lo + 1 < num_regions && tmax(j_lo) < td) ++j_lo;
-    double best = std::numeric_limits<double>::infinity();
-    for (size_t j = j_lo; j < num_regions && tmin(j) <= td; ++j) {
-      if (tmax(j) < td) continue;
-      const double gap = ClampGap(q[t], lo[2 * j], hi[2 * j]);
-      best = std::min(best, gap * gap);
-      if (best == 0.0) break;
+  size_t first = 0, past = 0;
+  for (size_t a = 0; a < n_;) {
+    const double at = static_cast<double>(a);
+    while (past < num_regions && start(past) <= at) ++past;
+    while (first < past && end(first) <= at) ++first;
+    double next = static_cast<double>(n_);
+    if (past < num_regions) next = std::min(next, start(past));
+    if (first < past) next = std::min(next, end(first));
+    // Endpoints are integers, so this is exact; ceil only guarantees
+    // progress should a malformed box carry fractional ones.
+    const size_t b = std::min(n_, static_cast<size_t>(std::ceil(next)));
+    if (first < past) {
+      double vlo = lo[2 * first], vhi = hi[2 * first];
+      for (size_t j = first + 1; j < past; ++j) {
+        vlo = std::min(vlo, lo[2 * j]);
+        vhi = std::max(vhi, hi[2 * j]);
+      }
+      const double len = static_cast<double>(b - a);
+      const double mean = (q.prefix[b] - q.prefix[a]) / len;
+      // Shrink the gap by the mean's rounding error, so a query equal to
+      // a member (or constant on the piece) never gets a positive bound
+      // from rounding alone.
+      const double gap = ClampGap(mean, vlo, vhi) - q.sum_error / len;
+      if (gap > 0.0) sum += len * gap * gap;
     }
-    if (best == std::numeric_limits<double>::infinity()) best = 0.0;
-    sum += best;
+    a = b;
   }
+  // The refine step's squared distance sums n rounded terms; shrink by its
+  // worst relative rounding error (and this sum's), so that a bound that
+  // is tight in exact arithmetic never exceeds a member's computed
+  // distance and prunes a tie.
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+  sum *= 1.0 - (static_cast<double>(n_ + dims_) + 16.0) * kUnitRoundoff;
   return std::sqrt(sum);
 }
 
@@ -159,11 +204,11 @@ double FeatureMapper::PlaBoxMinDist(const RepView& q,
   return std::sqrt(sum);
 }
 
-double FeatureMapper::MinDist(const std::vector<double>& query_raw,
-                              const RepView& query_rep,
+double FeatureMapper::MinDist(const Query& query,
                               const std::vector<double>& lo,
                               const std::vector<double>& hi) const {
   SAPLA_DCHECK(lo.size() == dims_ && hi.size() == dims_);
+  const RepView& query_rep = query.rep;
   switch (method_) {
     case Method::kCheby: {
       double sum = 0.0;
@@ -187,7 +232,7 @@ double FeatureMapper::MinDist(const std::vector<double>& query_raw,
     case Method::kPla:
       return PlaBoxMinDist(query_rep, lo, hi);
     default:
-      return ApcaRegionMinDist(query_raw, lo, hi);
+      return ApcaRegionBound(query, lo, hi);
   }
 }
 

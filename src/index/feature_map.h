@@ -6,9 +6,10 @@
 //
 // Per the paper: PAA, PAALM, SAX, SAPLA, APLA and APCA are indexed through
 // APCA-style MBRs (each segment contributes a (value, right-endpoint) dim
-// pair and the query-to-MBR distance is Keogh's region-based MINDIST); PLA
-// uses its own (a_i, b_i) MBR with the Chen et al. distance; CHEBY boxes
-// its coefficients, where plain point-to-box distance is a true bound.
+// pair); their query-to-MBR distance is an O(regions) relaxation of Keogh's
+// region MINDIST built from the query's prefix sums (feature_map.cc). PLA uses
+// its own (a_i, b_i) MBR with the Chen et al. distance; CHEBY boxes its
+// coefficients, where plain point-to-box distance is a true bound.
 
 #include <vector>
 
@@ -49,25 +50,30 @@ class FeatureMapper {
     return MapBox(RepView::Of(rep), raw);
   }
 
-  /// Lower-bound distance from a query to the axis-aligned box [lo, hi].
-  /// `query_raw` is the raw series (used by the APCA region MINDIST);
-  /// `query_rep` its reduction (used by the PLA and CHEBY variants).
-  double MinDist(const std::vector<double>& query_raw, const RepView& query_rep,
-                 const std::vector<double>& lo,
+  /// What MinDist needs of one query, prepared once per query by
+  /// PrepareQuery: its reduction (the PLA, CHEBY and DFT bounds) and the
+  /// raw query's prefix sums (the APCA-family region bound).
+  struct Query {
+    RepView rep;
+    /// prefix[t] = q[0] + ... + q[t-1], summed left to right.
+    std::vector<double> prefix;
+    /// Bound on the rounding error of any prefix[b] - prefix[a].
+    double sum_error = 0.0;
+  };
+
+  /// Prepares `raw` (the query, of length n) and its reduction `rep` for
+  /// MinDist. O(n). `rep` must stay valid while the result is used.
+  Query PrepareQuery(const std::vector<double>& raw, const RepView& rep) const;
+
+  /// Lower-bound distance from a prepared query to the axis-aligned box
+  /// [lo, hi]. Independent of n: O(dims), plus for the APCA family the
+  /// overlap of the regions' time spans.
+  double MinDist(const Query& query, const std::vector<double>& lo,
                  const std::vector<double>& hi) const;
 
-  /// Convenience over the AoS interchange type.
-  double MinDist(const std::vector<double>& query_raw,
-                 const Representation& query_rep,
-                 const std::vector<double>& lo,
-                 const std::vector<double>& hi) const {
-    return MinDist(query_raw, RepView::Of(query_rep), lo, hi);
-  }
-
  private:
-  double ApcaRegionMinDist(const std::vector<double>& q,
-                           const std::vector<double>& lo,
-                           const std::vector<double>& hi) const;
+  double ApcaRegionBound(const Query& q, const std::vector<double>& lo,
+                         const std::vector<double>& hi) const;
   double PlaBoxMinDist(const RepView& q, const std::vector<double>& lo,
                        const std::vector<double>& hi) const;
 

@@ -36,17 +36,20 @@ class RTreeBackend : public IndexBackend {
 
   void BestFirstSearch(const std::vector<double>& query_raw,
                        const RepView& query_rep, const VisitFn& visit,
-                       SearchCounters* counters) const override {
+                       SearchCounters* counters, double bound) const override {
+    // The query's prefix sums are computed once here; every internal
+    // entry's bound then costs O(regions), not O(n).
+    const FeatureMapper::Query query = mapper_.PrepareQuery(query_raw, query_rep);
     // Over a quantized corpus MINDIST lower-bounds the *quantized* leaf
     // bound, which may exceed the true one by up to the store's recorded
     // slack — loosen node bounds by that much so pruning stays sound.
     const double slack = ctx_.max_lb_slack();
     tree_.BestFirstSearch(
         [&](const std::vector<double>& lo, const std::vector<double>& hi) {
-          const double d = mapper_.MinDist(query_raw, query_rep, lo, hi);
+          const double d = mapper_.MinDist(query, lo, hi);
           return slack > 0.0 ? std::max(0.0, d - slack) : d;
         },
-        visit, counters);
+        visit, counters, bound);
   }
 
   TreeStats ComputeStats() const override { return tree_.ComputeStats(); }
@@ -97,7 +100,7 @@ class DbchBackend : public IndexBackend {
 
   void BestFirstSearch(const std::vector<double>& /*query_raw*/,
                        const RepView& query_rep, const VisitFn& visit,
-                       SearchCounters* counters) const override {
+                       SearchCounters* counters, double bound) const override {
     DistanceScratch scratch;  // per-query, lives on this caller's stack
     // Node bounds derive from d(query, center) - radius, both measured in
     // the quantized metric. The quantized query-center distance can
@@ -112,7 +115,7 @@ class DbchBackend : public IndexBackend {
               LowerBoundDistanceView(query_rep, ctx_.rep_view(id, &pin), &scratch);
           return slack > 0.0 ? std::max(0.0, d - slack) : d;
         },
-        visit, counters);
+        visit, counters, bound);
   }
 
   TreeStats ComputeStats() const override { return tree_.ComputeStats(); }

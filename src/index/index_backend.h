@@ -19,6 +19,7 @@
 // arrays, and all per-query state lives on the caller's stack.
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,15 +112,17 @@ class IndexBackend {
 
   /// Best-first branch-and-bound traversal for one query: nodes are
   /// expanded in increasing lower-bound order and pruned once their bound
-  /// exceeds the bound returned by `visit`. `query_rep` is a view of the
-  /// query's reduction under the context's (method, m) — the view must stay
-  /// valid for the duration of the call. When `counters` is non-null the
-  /// backend records its node-level work (expansions by level, pruned
-  /// nodes — obs/counters.h) into it; entry-level counters belong to the
-  /// search layer's visit callback. Thread-safe after Build.
-  virtual void BestFirstSearch(const std::vector<double>& query_raw,
-                               const RepView& query_rep, const VisitFn& visit,
-                               SearchCounters* counters = nullptr) const = 0;
+  /// exceeds the pruning bound — `bound` at the start, then whatever
+  /// `visit` last returned. `query_rep` is a view of the query's reduction
+  /// under the context's (method, m) — the view must stay valid for the
+  /// duration of the call. When `counters` is non-null the backend records
+  /// its node-level work (expansions by level, pruned nodes —
+  /// obs/counters.h) into it; entry-level counters belong to the search
+  /// layer's visit callback. Thread-safe after Build.
+  virtual void BestFirstSearch(
+      const std::vector<double>& query_raw, const RepView& query_rep,
+      const VisitFn& visit, SearchCounters* counters = nullptr,
+      double bound = std::numeric_limits<double>::infinity()) const = 0;
 
   /// Structural statistics (Figs. 15/16). Thread-safe after Build.
   virtual TreeStats ComputeStats() const = 0;

@@ -295,7 +295,7 @@ TreeStats RTree::ComputeStats() const {
 }
 
 void RTree::BestFirstSearch(const BoxDistFn& box_dist, const VisitFn& visit,
-                            SearchCounters* counters) const {
+                            SearchCounters* counters, double bound) const {
   struct QItem {
     double dist;
     int node;
@@ -304,7 +304,6 @@ void RTree::BestFirstSearch(const BoxDistFn& box_dist, const VisitFn& visit,
   };
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
   pq.push({0.0, root_, 0});
-  double bound = std::numeric_limits<double>::infinity();
   while (!pq.empty()) {
     const QItem item = pq.top();
     pq.pop();

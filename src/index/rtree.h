@@ -13,6 +13,7 @@
 // MINDIST (APCA regions, PLA quadratic, CHEBY clamp).
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,11 +73,14 @@ class RTree {
 
   /// Best-first (branch-and-bound) traversal: nodes are expanded in
   /// increasing box-distance order and pruned once their distance exceeds
-  /// the bound returned by `visit`. GEMINI's k-NN maps directly onto this.
-  /// When `counters` is non-null the traversal records node expansions by
-  /// level and node-level pruning into it (obs/counters.h).
-  void BestFirstSearch(const BoxDistFn& box_dist, const VisitFn& visit,
-                       SearchCounters* counters = nullptr) const;
+  /// the pruning bound — `bound` at the start, then the bound returned by
+  /// `visit`. GEMINI's k-NN maps directly onto this. When `counters` is
+  /// non-null the traversal records node expansions by level and
+  /// node-level pruning into it (obs/counters.h).
+  void BestFirstSearch(
+      const BoxDistFn& box_dist, const VisitFn& visit,
+      SearchCounters* counters = nullptr,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// Deterministic byte encoding of the full tree structure (every node's
   /// entries with their boxes, child links and data ids). Restore of the

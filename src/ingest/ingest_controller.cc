@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <queue>
 #include <utility>
 
 #include "distance/kernels.h"
@@ -36,43 +34,6 @@ uint64_t Mix64(uint64_t x) {
 std::atomic<uint64_t> g_instance_counter{0x1A6E57u};
 
 uint64_t NextInstanceId() { return Mix64(g_instance_counter.fetch_add(1)); }
-
-// Max-heap of the k best (distance, id) pairs with the repo-wide
-// lexicographic (distance, id) tie-break — the same semantics as the TopK
-// in search/knn.cc, reproduced here for the memtable scan and the merge.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-
-  void Offer(double dist, size_t id) {
-    if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.emplace(dist, id);
-    } else if (std::make_pair(dist, id) < heap_.top()) {
-      heap_.pop();
-      heap_.emplace(dist, id);
-    }
-  }
-
-  double Bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.top().first;
-  }
-
-  std::vector<std::pair<double, size_t>> Sorted() const {
-    std::vector<std::pair<double, size_t>> v(heap_.size());
-    auto copy = heap_;
-    for (size_t i = v.size(); i-- > 0;) {
-      v[i] = copy.top();
-      copy.pop();
-    }
-    return v;
-  }
-
- private:
-  size_t k_;
-  std::priority_queue<std::pair<double, size_t>> heap_;
-};
 
 bool Tombstoned(const std::vector<uint64_t>& tombstones, uint64_t id) {
   return std::binary_search(tombstones.begin(), tombstones.end(), id);
@@ -446,54 +407,46 @@ Status IngestController::CompactLocked() {
 
   // Survivors, ascending by global id: ids are assigned monotonically and
   // compaction absorbs every sealed generation, so main's ids all precede
-  // the minors', and the minors' precede each other in creation order.
-  struct Row {
-    uint64_t id;
-    uint64_t expiry;
-    const TimeSeries* ts;
+  // the minors', and the minors' precede each other in creation order. The
+  // survivors' raw series are copied once, into the dataset the new main's
+  // shards take by move.
+  size_t stored = main_ ? main_->ids.size() : 0;
+  for (const auto& minor : minors_) stored += minor->ids.size();
+  Dataset survivors;
+  survivors.name = "ingest-main";
+  survivors.series.reserve(stored);
+  std::vector<uint64_t> ids, expiries, dropped;
+  ids.reserve(stored);
+  expiries.reserve(stored);
+  const auto offer = [&](uint64_t id, uint64_t expiry, const TimeSeries& ts) {
+    if (!keep(id, expiry)) {
+      dropped.push_back(id);
+      return;
+    }
+    survivors.series.push_back(ts);
+    ids.push_back(id);
+    expiries.push_back(expiry);
   };
-  std::vector<Row> rows;
-  std::vector<uint64_t> dropped;
   if (main_) {
-    for (size_t i = 0; i < main_->ids.size(); ++i) {
-      if (keep(main_->ids[i], main_->expiry[i]))
-        rows.push_back({main_->ids[i], main_->expiry[i],
-                        &main_->dataset.series[i]});
-      else
-        dropped.push_back(main_->ids[i]);
-    }
+    main_->index->ForEachSeries([&](size_t i, const TimeSeries& ts) {
+      offer(main_->ids[i], main_->expiry[i], ts);
+    });
   }
-  for (const auto& minor : minors_) {
-    for (size_t i = 0; i < minor->ids.size(); ++i) {
-      const uint64_t id = minor->ids[i];
-      const uint64_t expiry = expiry_of(id);
-      if (keep(id, expiry))
-        rows.push_back({id, expiry, &minor->dataset.series[i]});
-      else
-        dropped.push_back(id);
-    }
-  }
-  SAPLA_DCHECK(std::is_sorted(
-      rows.begin(), rows.end(),
-      [](const Row& a, const Row& b) { return a.id < b.id; }));
+  for (const auto& minor : minors_)
+    for (size_t i = 0; i < minor->ids.size(); ++i)
+      offer(minor->ids[i], expiry_of(minor->ids[i]), minor->dataset.series[i]);
+  SAPLA_DCHECK(std::is_sorted(ids.begin(), ids.end()));
 
   std::shared_ptr<const MainGen> next_main;
-  if (!rows.empty()) {
+  if (!ids.empty()) {
     auto gen = std::make_shared<MainGen>();
-    gen->dataset.name = "ingest-main";
-    gen->dataset.series.reserve(rows.size());
-    gen->ids.reserve(rows.size());
-    gen->expiry.reserve(rows.size());
-    for (const Row& r : rows) {
-      gen->dataset.series.push_back(*r.ts);
-      gen->ids.push_back(r.id);
-      gen->expiry.push_back(r.expiry);
-    }
+    gen->ids = std::move(ids);
+    gen->expiry = std::move(expiries);
     ShardedIndex::Options so;
     so.num_shards = options_.num_shards;
     so.index = options_.index;
     gen->index = std::make_unique<ShardedIndex>(method_, m_, kind_, so);
-    const Status st = gen->index->Build(gen->dataset);
+    const Status st = gen->index->Build(std::move(survivors));
     if (!st.ok()) return st;
     next_main = std::move(gen);
   }
@@ -524,13 +477,12 @@ Status IngestController::WriteManifestLocked() const {
   binio::PutU64(&body, series_length_);
   binio::PutU64(&body, main_ ? main_->ids.size() : 0);
   if (main_) {
-    for (size_t i = 0; i < main_->ids.size(); ++i) {
+    main_->index->ForEachSeries([&](size_t i, const TimeSeries& ts) {
       binio::PutU64(&body, main_->ids[i]);
-      binio::PutI64(&body, main_->dataset.series[i].label);
+      binio::PutI64(&body, ts.label);
       binio::PutU64(&body, main_->expiry[i]);
-      for (double v : main_->dataset.series[i].values)
-        binio::PutF64(&body, v);
-    }
+      for (double v : ts.values) binio::PutF64(&body, v);
+    });
   }
   std::string out(kManifestMagic, kManifestMagicLen);
   binio::PutU32(&out, kManifestVersion);
@@ -620,23 +572,28 @@ Status IngestController::Recover() {
   next_id_ = manifest_next;
   if (!rows.empty()) {
     auto gen = std::make_shared<MainGen>();
-    gen->dataset.name = "ingest-main";
-    gen->dataset.series.reserve(rows.size());
     for (const MemEntry& e : rows) {
-      gen->dataset.series.emplace_back(e.values, e.label);
       gen->ids.push_back(e.id);
       gen->expiry.push_back(e.expiry_seq);
     }
+    // The shards take their raw series by move; each attempt gets its own.
+    const auto main_dataset = [&rows] {
+      Dataset ds;
+      ds.name = "ingest-main";
+      ds.series.reserve(rows.size());
+      for (const MemEntry& e : rows) ds.series.emplace_back(e.values, e.label);
+      return ds;
+    };
     ShardedIndex::Options so;
     so.num_shards = options_.num_shards;
     so.index = options_.index;
     gen->index = std::make_unique<ShardedIndex>(method_, m_, kind_, so);
-    Status st = gen->index->Restore(gen->dataset, SnapshotPrefix());
+    Status st = gen->index->Restore(main_dataset(), SnapshotPrefix());
     if (!st.ok()) {
       // Stale or missing snapshots (e.g. a kill between snapshot save and
       // manifest write, or a changed shard count): rebuild cold.
       gen->index = std::make_unique<ShardedIndex>(method_, m_, kind_, so);
-      st = gen->index->Build(gen->dataset);
+      st = gen->index->Build(main_dataset());
       if (!st.ok()) return st;
     }
     main_ = std::move(gen);
@@ -746,83 +703,53 @@ Status IngestController::Checkpoint() {
 }
 
 // ---------------------------------------------------------------------------
-// Query path: pin the epoch once, scatter over main + minors + memtable,
-// filter tombstones, merge under the (distance, global id) order.
+// Query path: pin the epoch once, then search main + minors + memtable —
+// k-NN into one shared heap, range queries into per-generation answers
+// merged under the (distance, global id) order — without tombstoned ids.
 
-KnnResult IngestController::MemtableKnn(const Memtable& mem,
-                                        const std::vector<uint64_t>& tombstones,
-                                        const std::vector<double>& query,
-                                        size_t k) const {
-  KnnResult result;
-  SearchCounters& c = result.counters;
-  const size_t n = mem.entries.size();
-  if (n == 0 || k == 0) return result;
-  // The same filter-and-refine arithmetic as SimilarityIndex::Knn — the
-  // reduced query, Dist_LB filter and EuclideanDistance refinement — so
-  // measured distances are bit-identical to any other path over the same
-  // raw series.
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;
-  TopK top(k);
-  for (size_t i = 0; i < n; ++i) {
-    if (Tombstoned(tombstones, mem.entries[i].id)) {
+SearchCounters IngestController::MemtableKnn(
+    const Memtable& mem, const std::vector<uint64_t>* hidden,
+    const ReducedQuery& query, TopK* top) const {
+  SearchCounters c;
+  if (mem.entries.empty()) return c;
+  // The leaf step every tree search runs, so memtable distances and
+  // counters are bit-identical to any other path over the same raw series.
+  KnnRefiner refiner(query, top, &c);
+  for (size_t i = 0; i < mem.entries.size(); ++i) {
+    const MemEntry& entry = mem.entries[i];
+    if (hidden != nullptr && Tombstoned(*hidden, entry.id)) {
       ++c.entries_pruned_node;  // invisible: skipped before any evaluation
       continue;
     }
-    const double lb =
-        FilterDistanceView(query_fitter, query_rep, mem.store.view(i),
-                           &scratch);
-    ++c.lb_evaluations;
-    if (lb <= top.Bound()) {
-      const double exact = EuclideanDistance(query, mem.entries[i].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
-      }
-      top.Offer(exact, static_cast<size_t>(mem.entries[i].id));
-    } else {
-      ++c.entries_pruned_leaf;
-    }
+    refiner.Visit(static_cast<size_t>(entry.id), mem.store.view(i),
+                  entry.values, 0.0);
   }
   c.cascade_stage = c.exact_evaluations > 0 ? CascadeStage::kExact
                     : c.lb_evaluations > 0  ? CascadeStage::kLeafFilter
                                             : CascadeStage::kNodePrune;
-  result.neighbors = top.Sorted();
-  return result;
+  return c;
 }
 
-KnnResult IngestController::MemtableKnnLowerBound(
-    const Memtable& mem, const std::vector<uint64_t>& tombstones,
-    const std::vector<double>& query, size_t k) const {
-  KnnResult result;
-  SearchCounters& c = result.counters;
-  const size_t n = mem.entries.size();
-  if (n == 0 || k == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
+SearchCounters IngestController::MemtableKnnLowerBound(
+    const Memtable& mem, const std::vector<uint64_t>* hidden,
+    const ReducedQuery& query, TopK* top) const {
+  SearchCounters c;
+  if (mem.entries.empty()) return c;
   DistanceScratch scratch;
-  TopK top(k);
-  for (size_t i = 0; i < n; ++i) {
-    if (Tombstoned(tombstones, mem.entries[i].id)) {
+  for (size_t i = 0; i < mem.entries.size(); ++i) {
+    const MemEntry& entry = mem.entries[i];
+    if (hidden != nullptr && Tombstoned(*hidden, entry.id)) {
       ++c.entries_pruned_node;
       continue;
     }
-    const double lb = FilterDistanceView(query_fitter, query_rep,
+    const double lb = FilterDistanceView(query.fitter(), query.rep(),
                                          mem.store.view(i), &scratch);
     ++c.lb_evaluations;
-    top.Offer(lb, static_cast<size_t>(mem.entries[i].id));
+    top->Offer(lb, static_cast<size_t>(entry.id));
   }
   c.cascade_stage = c.lb_evaluations > 0 ? CascadeStage::kLeafFilter
                                          : CascadeStage::kNodePrune;
-  result.neighbors = top.Sorted();
-  return result;
+  return c;
 }
 
 KnnResult IngestController::MemtableRange(const Memtable& mem,
@@ -834,17 +761,14 @@ KnnResult IngestController::MemtableRange(const Memtable& mem,
   SearchCounters& c = result.counters;
   const size_t n = mem.entries.size();
   if (n == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
+  const ReducedQuery reduced(*reducer_, m_, query);
   DistanceScratch scratch;
   for (size_t i = 0; i < n; ++i) {
     if (Tombstoned(tombstones, mem.entries[i].id)) {
       ++c.entries_pruned_node;
       continue;
     }
-    const double lb = FilterDistanceView(query_fitter, query_rep,
+    const double lb = FilterDistanceView(reduced.fitter(), reduced.rep(),
                                          mem.store.view(i), &scratch);
     ++c.lb_evaluations;
     const size_t gid = static_cast<size_t>(mem.entries[i].id);
@@ -874,8 +798,8 @@ KnnResult IngestController::MemtableRange(const Memtable& mem,
 
 namespace {
 
-/// Folds one generation's answer into the merged result, remapping local
-/// ids through `ids` and dropping tombstoned entries.
+/// Folds one generation's range answer into the merged result, remapping
+/// local ids through `ids` and dropping tombstoned entries.
 void AccumulateFiltered(const KnnResult& part, const std::vector<uint64_t>& ids,
                         const std::vector<uint64_t>& tombstones,
                         KnnResult* out) {
@@ -889,13 +813,22 @@ void AccumulateFiltered(const KnnResult& part, const std::vector<uint64_t>& ids,
   out->approximate = out->approximate || part.approximate;
 }
 
-/// Folds a memtable answer (already global ids, already filtered).
+/// Folds a memtable range answer (already global ids, already filtered).
 void AccumulateDirect(const KnnResult& part, KnnResult* out) {
   out->neighbors.insert(out->neighbors.end(), part.neighbors.begin(),
                         part.neighbors.end());
   out->num_measured += part.num_measured;
   out->counters.Add(part.counters);
   out->approximate = out->approximate || part.approximate;
+}
+
+/// How many of `neighbors` have an id in the ascending list `ids`.
+size_t CountIn(const std::vector<std::pair<double, size_t>>& neighbors,
+               const std::vector<uint64_t>& ids) {
+  size_t n = 0;
+  for (const auto& [dist, id] : neighbors)
+    if (std::binary_search(ids.begin(), ids.end(), id)) ++n;
+  return n;
 }
 
 }  // namespace
@@ -911,6 +844,12 @@ KnnResult IngestController::KnnExplain(const std::vector<double>& query,
   return KnnWithExplain(query, k, explain);
 }
 
+// One reduction and one heap per query: the generations run in order —
+// main, minors, memtable — each pruning against the bound the earlier ones
+// left, with global ids in the heap and tombstoned ids skipped before their
+// lower bound is computed, so no generation has to over-fetch. The visible
+// set is partitioned among the generations and each searches its part
+// exactly, so the heap ends up with the visible top k.
 KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
                                            size_t k,
                                            obs::QueryExplain* explain) const {
@@ -922,51 +861,59 @@ KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
             std::chrono::steady_clock::now() - since)
             .count());
   };
-  // One explain part per generation the query touches. The part counters
-  // come from the raw per-generation results — tombstone filtering drops
-  // neighbors, never counters — so their sum equals the merged counters.
-  const auto add_part = [explain](const char* name, const KnnResult& part,
-                                  uint64_t dur_us) {
-    if (explain == nullptr) return;
-    obs::ShardExplain p;
-    p.part = name;
-    p.dur_us = dur_us;
-    p.results = part.neighbors.size();
-    p.counters = part.counters;
-    explain->parts.push_back(std::move(p));
-  };
 
   KnnResult out;
   if (k == 0) return out;
   const auto e = PinEpoch();
-  // Over-fetch: a generation's top (k + |tombstones|) minus the tombstoned
-  // entries still contains its top-k visible answers, so the filtered
-  // union provably contains the global visible top-k.
-  const size_t k_eff = k + e->tombstones.size();
+  const std::vector<uint64_t>* hidden =
+      e->tombstones.empty() ? nullptr : &e->tombstones;
+  const ReducedQuery reduced(*reducer_, m_, query);
+  TopK top(k);
+  // One explain part per generation, with the counters of its search (the
+  // merged counters are their sum). part_ids[i] (ascending) names part i's
+  // entries, so its share of the answer is counted once the heap is final.
+  std::vector<const std::vector<uint64_t>*> part_ids;
+  const auto add_part = [&](std::string name, const SearchCounters& c,
+                            uint64_t dur_us, const std::vector<uint64_t>* ids) {
+    out.counters.Add(c);
+    if (explain == nullptr) return;
+    obs::ShardExplain p;
+    p.part = std::move(name);
+    p.dur_us = dur_us;
+    p.counters = c;
+    explain->parts.push_back(std::move(p));
+    part_ids.push_back(ids);
+  };
+
   if (e->main) {
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = e->main->index->Knn(query, k_eff);
-    add_part("main", part, elapsed_us(g0));
-    AccumulateFiltered(part, e->main->ids, e->tombstones, &out);
+    const SearchCounters c = e->main->index->KnnInto(
+        reduced, {e->main->ids.data(), 0, hidden}, &top, &out.approximate);
+    add_part("main", c, elapsed_us(g0), &e->main->ids);
   }
   for (size_t g = 0; g < e->minors.size(); ++g) {
+    const Minor& minor = *e->minors[g];
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = e->minors[g]->index->Knn(query, k_eff);
-    if (explain != nullptr) {
-      const std::string name = "minor" + std::to_string(g);
-      add_part(name.c_str(), part, elapsed_us(g0));
-    }
-    AccumulateFiltered(part, e->minors[g]->ids, e->tombstones, &out);
+    const SearchCounters c =
+        minor.index->KnnInto(reduced, {minor.ids.data(), 0, hidden}, &top);
+    add_part("minor" + std::to_string(g), c, elapsed_us(g0), &minor.ids);
   }
+  std::vector<uint64_t> memtable_ids;
+  if (explain != nullptr)
+    for (const MemEntry& entry : e->memtable->entries)
+      memtable_ids.push_back(entry.id);
   {
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = MemtableKnn(*e->memtable, e->tombstones, query, k);
-    add_part("memtable", part, elapsed_us(g0));
-    AccumulateDirect(part, &out);
+    const SearchCounters c = MemtableKnn(*e->memtable, hidden, reduced, &top);
+    add_part("memtable", c, elapsed_us(g0), &memtable_ids);
   }
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
+  out.num_measured = out.counters.exact_evaluations;
+  out.neighbors = top.Sorted();
+
   if (explain != nullptr) {
+    const size_t first = explain->parts.size() - part_ids.size();
+    for (size_t i = 0; i < part_ids.size(); ++i)
+      explain->parts[first + i].results = CountIn(out.neighbors, *part_ids[i]);
     explain->trace_id = obs::CurrentTraceContext().trace_id;
     explain->total_us = elapsed_us(t0);
     explain->epoch_seq = e->seq;
@@ -977,23 +924,26 @@ KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
   return out;
 }
 
+// The degraded path mirrors Knn: one reduction, one heap, tombstones
+// skipped before their lower bound is evaluated.
 KnnResult IngestController::KnnLowerBound(const std::vector<double>& query,
                                           size_t k) const {
   SAPLA_TRACE_SPAN("ingest/knn_lb");
   KnnResult out;
   if (k == 0) return out;
   const auto e = PinEpoch();
-  const size_t k_eff = k + e->tombstones.size();
+  const std::vector<uint64_t>* hidden =
+      e->tombstones.empty() ? nullptr : &e->tombstones;
+  const ReducedQuery reduced(*reducer_, m_, query);
+  TopK top(k);
   if (e->main)
-    AccumulateFiltered(e->main->index->KnnLowerBound(query, k_eff),
-                       e->main->ids, e->tombstones, &out);
+    out.counters.Add(e->main->index->KnnLowerBoundInto(
+        reduced, {e->main->ids.data(), 0, hidden}, &top, &out.approximate));
   for (const auto& minor : e->minors)
-    AccumulateFiltered(minor->index->KnnLowerBound(query, k_eff), minor->ids,
-                       e->tombstones, &out);
-  AccumulateDirect(
-      MemtableKnnLowerBound(*e->memtable, e->tombstones, query, k), &out);
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
+    out.counters.Add(minor->index->KnnLowerBoundInto(
+        reduced, {minor->ids.data(), 0, hidden}, &top));
+  out.counters.Add(MemtableKnnLowerBound(*e->memtable, hidden, reduced, &top));
+  out.neighbors = top.Sorted();
   return out;
 }
 
@@ -1114,47 +1064,47 @@ IngestController::EpochStats IngestController::GetEpochStats() const {
   return s;
 }
 
+void IngestController::ForEachVisible(
+    const Epoch& e,
+    const std::function<void(uint64_t, const std::vector<double>&, int)>& fn) {
+  // The generations hold disjoint id ranges in this order (ids are
+  // assigned monotonically and compaction absorbs every sealed generation),
+  // so visiting them in order visits ids ascending.
+  const auto visit = [&](uint64_t id, const std::vector<double>& values,
+                         int label) {
+    if (!Tombstoned(e.tombstones, id)) fn(id, values, label);
+  };
+  if (e.main) {
+    e.main->index->ForEachSeries([&](size_t i, const TimeSeries& ts) {
+      visit(e.main->ids[i], ts.values, ts.label);
+    });
+  }
+  for (const auto& minor : e.minors)
+    for (size_t i = 0; i < minor->ids.size(); ++i)
+      visit(minor->ids[i], minor->dataset.series[i].values,
+            minor->dataset.series[i].label);
+  for (const MemEntry& entry : e.memtable->entries)
+    visit(entry.id, entry.values, entry.label);
+}
+
 std::vector<uint64_t> IngestController::VisibleIds() const {
   const auto e = PinEpoch();
   std::vector<uint64_t> ids;
   ids.reserve(e->visible);
-  const auto add = [&](uint64_t id) {
-    if (!Tombstoned(e->tombstones, id)) ids.push_back(id);
-  };
-  if (e->main)
-    for (uint64_t id : e->main->ids) add(id);
-  for (const auto& minor : e->minors)
-    for (uint64_t id : minor->ids) add(id);
-  for (const MemEntry& entry : e->memtable->entries) add(entry.id);
-  std::sort(ids.begin(), ids.end());
+  ForEachVisible(*e, [&](uint64_t id, const std::vector<double>&, int) {
+    ids.push_back(id);
+  });
+  SAPLA_DCHECK(std::is_sorted(ids.begin(), ids.end()));
   return ids;
 }
 
 Dataset IngestController::VisibleDataset() const {
   const auto e = PinEpoch();
-  std::vector<std::pair<uint64_t, const TimeSeries*>> rows;
-  rows.reserve(e->visible);
-  const auto add = [&](uint64_t id, const TimeSeries* ts) {
-    if (!Tombstoned(e->tombstones, id)) rows.emplace_back(id, ts);
-  };
-  if (e->main)
-    for (size_t i = 0; i < e->main->ids.size(); ++i)
-      add(e->main->ids[i], &e->main->dataset.series[i]);
-  for (const auto& minor : e->minors)
-    for (size_t i = 0; i < minor->ids.size(); ++i)
-      add(minor->ids[i], &minor->dataset.series[i]);
-  std::vector<TimeSeries> mem_series;
-  mem_series.reserve(e->memtable->entries.size());
-  for (const MemEntry& entry : e->memtable->entries)
-    mem_series.emplace_back(entry.values, entry.label);
-  for (size_t i = 0; i < e->memtable->entries.size(); ++i)
-    add(e->memtable->entries[i].id, &mem_series[i]);
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   Dataset out;
   out.name = "ingest-visible";
-  out.series.reserve(rows.size());
-  for (const auto& [id, ts] : rows) out.series.push_back(*ts);
+  out.series.reserve(e->visible);
+  ForEachVisible(*e, [&](uint64_t, const std::vector<double>& values,
+                         int label) { out.series.emplace_back(values, label); });
   return out;
 }
 

@@ -38,13 +38,18 @@
 // Answer parity (tests/ingest_parity_test.cc). Exact Knn / RangeSearch
 // answers are a function of the VISIBLE RAW SERIES SET only: every
 // generation searches its subset exactly (dbch_sound_bounds is forced, as
-// in ShardedIndex), refinement distances are EuclideanDistance on the
-// identical raw vectors, each part over-fetches k + |tombstones| so the
-// filtered union provably contains the true top-k, and the (distance,
-// global id) merge order is isomorphic to the static index's (distance,
-// dense id) order because global ids are assigned monotonically. Hence,
-// after ANY interleaving of inserts/deletes/seals/compactions, answers are
-// bit-identical to a from-scratch SimilarityIndex over the visible set.
+// in ShardedIndex) and refinement distances are EuclideanDistance on the
+// identical raw vectors. A k-NN query is reduced once and runs main,
+// minors and memtable in turn into ONE top-k heap keyed by global id, each
+// generation pruning against the bound the earlier ones left; tombstoned
+// ids are skipped before their lower bound is computed, so nothing
+// invisible ever enters the heap and no generation over-fetches. The
+// (distance, global id) heap order is isomorphic to the static index's
+// (distance, dense id) order because global ids are assigned
+// monotonically. Hence, after ANY interleaving of inserts/deletes/seals/
+// compactions, answers are bit-identical to a from-scratch SimilarityIndex
+// over the visible set. Range queries search each generation on its own
+// and merge the filtered answers.
 //
 // Deletes & TTL. Deleting a memtable entry rewrites the memtable (lossless
 // store round-trip, no re-reduction); deleting sealed data records a
@@ -70,6 +75,7 @@
 // the first concurrent use.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -267,10 +273,10 @@ class IngestController : public SearchIndex {
     size_t budget_bytes = 0;
   };
 
-  /// Immutable main generation (product of the last compaction).
+  /// Immutable main generation (product of the last compaction). Its raw
+  /// series live once, in the index's shards (ShardedIndex::ForEachSeries).
   struct MainGen {
-    Dataset dataset;            // ascending by global id
-    std::vector<uint64_t> ids;  // local -> global
+    std::vector<uint64_t> ids;     // local -> global, ascending
     std::vector<uint64_t> expiry;  // per entry, 0 = none
     std::unique_ptr<ShardedIndex> index;
   };
@@ -319,22 +325,32 @@ class IngestController : public SearchIndex {
   Status LoadManifest(const std::string& path, std::vector<MemEntry>* out,
                       uint64_t* seq, uint64_t* next_id) const;
 
-  /// LB-filtered exact scan of one pinned memtable (the same filter-refine
-  /// arithmetic as SimilarityIndex::Knn, so distances are bit-identical).
-  KnnResult MemtableKnn(const Memtable& mem,
-                        const std::vector<uint64_t>& tombstones,
-                        const std::vector<double>& query, size_t k) const;
+  /// LB-filtered exact scan of one pinned memtable into the query's shared
+  /// heap (KnnRefiner, the step tree leaves run, so distances are
+  /// bit-identical). Ids in the sorted `hidden` list are skipped before
+  /// their lower bound; null hides nothing.
+  SearchCounters MemtableKnn(const Memtable& mem,
+                             const std::vector<uint64_t>* hidden,
+                             const ReducedQuery& query, TopK* top) const;
+  /// Offers every memtable entry not hidden at its lower bound.
+  SearchCounters MemtableKnnLowerBound(const Memtable& mem,
+                                       const std::vector<uint64_t>* hidden,
+                                       const ReducedQuery& query,
+                                       TopK* top) const;
   KnnResult MemtableRange(const Memtable& mem,
                           const std::vector<uint64_t>& tombstones,
                           const std::vector<double>& query, double radius,
                           bool lower_bound_only) const;
-  KnnResult MemtableKnnLowerBound(const Memtable& mem,
-                                  const std::vector<uint64_t>& tombstones,
-                                  const std::vector<double>& query,
-                                  size_t k) const;
+
+  /// Calls `fn(id, values, label)` for every visible series of `e` in
+  /// ascending global id.
+  static void ForEachVisible(
+      const Epoch& e,
+      const std::function<void(uint64_t, const std::vector<double>&, int)>&
+          fn);
 
   /// Shared Knn body; fills `*explain` (when non-null) from the same
-  /// per-generation results it merges.
+  /// per-generation searches it runs.
   KnnResult KnnWithExplain(const std::vector<double>& query, size_t k,
                            obs::QueryExplain* explain) const;
 

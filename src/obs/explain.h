@@ -47,7 +47,9 @@ struct ShardExplain {
   /// 2 unhealthy = excluded from the scatter).
   int health = 0;
   uint64_t dur_us = 0;
-  /// Neighbors this part contributed before the merge truncated to k.
+  /// Neighbors this part contributed: a shard's candidates before the
+  /// merge truncated to k; an ingest generation's neighbors in the answer
+  /// (a query's generations fill one shared heap).
   size_t results = 0;
   SearchCounters counters;
 };

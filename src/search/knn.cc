@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <queue>
 
 #include "distance/kernels.h"
 #include "distance/mindist.h"
@@ -31,45 +29,50 @@ void FinalizeCounters(SearchCounters* c, size_t dataset_size) {
   }
 }
 
-// Max-heap of the k best (distance, id) pairs; exposes the pruning bound.
-// Ordering is lexicographic on (distance, id): equal distances keep the
-// smaller id, so the answer set — not just its order — is deterministic
-// and identical between serial, batch and backend variants.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-
-  void Offer(double dist, size_t id) {
-    if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.emplace(dist, id);
-    } else if (std::make_pair(dist, id) < heap_.top()) {
-      heap_.pop();
-      heap_.emplace(dist, id);
-    }
-  }
-
-  double Bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.top().first;
-  }
-
-  std::vector<std::pair<double, size_t>> Sorted() const {
-    std::vector<std::pair<double, size_t>> v(heap_.size());
-    auto copy = heap_;
-    for (size_t i = v.size(); i-- > 0;) {
-      v[i] = copy.top();
-      copy.pop();
-    }
-    return v;
-  }
-
- private:
-  size_t k_;
-  std::priority_queue<std::pair<double, size_t>> heap_;
-};
-
 }  // namespace
+
+std::vector<std::pair<double, size_t>> TopK::Sorted() const {
+  std::vector<std::pair<double, size_t>> v(heap_.size());
+  auto copy = heap_;
+  for (size_t i = v.size(); i-- > 0;) {
+    v[i] = copy.top();
+    copy.pop();
+  }
+  return v;
+}
+
+ReducedQuery::ReducedQuery(const Reducer& reducer, size_t m,
+                           const std::vector<double>& raw)
+    : fitter_(raw) {
+  // The query reduces through the same columnar path as the corpus: into
+  // a single-entry store, viewed for the query's lifetime.
+  reducer.ReduceInto(raw, m, &store_);
+  rep_ = store_.view(0);
+}
+
+double KnnRefiner::Visit(size_t id, const RepView& rep,
+                         const std::vector<double>& raw, double slack) {
+  // Dist_LB against the raw query is rigorous for the segment methods. Over
+  // a quantized corpus it is measured against the *quantized*
+  // representation, which can exceed the true lower bound by the entry's
+  // slack; subtracting it keeps the filter sound (no true neighbor is
+  // pruned), and the exact refinement is untouched by quantization.
+  double lb = FilterDistanceView(query_.fitter(), query_.rep(), rep, &scratch_);
+  if (slack > 0.0) lb = std::max(0.0, lb - slack);
+  ++c_->lb_evaluations;
+  if (lb <= top_->Bound()) {
+    const double exact = EuclideanDistance(query_.raw(), raw);
+    ++c_->exact_evaluations;
+    if (exact > 0.0) {
+      c_->lb_tightness_sum += lb / exact;
+      ++c_->lb_tightness_count;
+    }
+    top_->Offer(exact, id);
+  } else {
+    ++c_->entries_pruned_leaf;
+  }
+  return top_->Bound();
+}
 
 KnnResult LinearScanKnn(const Dataset& dataset,
                         const std::vector<double>& query, size_t k) {
@@ -211,53 +214,51 @@ KnnResult SimilarityIndex::Knn(const std::vector<double>& query,
   SAPLA_DCHECK(query.size() == dataset_->length());
   KnnResult result;
   if (k == 0) return result;
-  // The query reduces through the same columnar path as the corpus: into a
-  // stack-local single-entry store, viewed for the duration of the query.
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;  // amortizes Dist_PAR buffers across the query
-
+  const ReducedQuery reduced(*reducer_, m_, query);
   TopK top(k);
-  // Leaf-entry handler, backend-agnostic: lower-bound filter (Dist_LB
-  // against the raw query for segment methods — rigorous), then the exact
-  // (counted) refinement on the raw series. Over a quantized corpus the
-  // filter distance is measured against the *quantized* representation,
-  // which can exceed the true lower bound by the store's per-series slack;
-  // subtracting it restores a sound bound (so no true neighbor is ever
-  // pruned), and the exact refinement below is untouched by quantization.
-  SearchCounters& c = result.counters;
+  result.counters = KnnInto(reduced, EntryIds{}, &top);
+  result.num_measured = result.counters.exact_evaluations;
+  result.neighbors = top.Sorted();
+  return result;
+}
+
+SearchCounters SimilarityIndex::KnnInto(const ReducedQuery& query,
+                                        const EntryIds& ids, TopK* top) const {
+  return ids.ids == nullptr && ids.hidden == nullptr
+             ? SearchKnn<false>(query, ids, top)
+             : SearchKnn<true>(query, ids, top);
+}
+
+template <bool kMapped>
+SearchCounters SimilarityIndex::SearchKnn(const ReducedQuery& query,
+                                          const EntryIds& ids,
+                                          TopK* top) const {
+  SAPLA_DCHECK(dataset_ != nullptr && top->k() > 0);
+  SearchCounters c;
+  KnnRefiner refiner(query, top, &c);
   StoreReadPin pin;  // keeps the current cold frame decoded across visits
   const bool has_slack = !options_.legacy_aos_corpus && store_.quantized();
-  const auto visit = [&](size_t id, double bound) {
-    double lb = FilterDistanceView(query_fitter, query_rep,
-                                   corpus_view(id, &pin), &scratch);
-    if (has_slack) lb = std::max(0.0, lb - store_.lb_slack(id));
-    ++c.lb_evaluations;
-    if (lb <= bound) {
-      const double exact =
-          EuclideanDistance(query, dataset_->series[id].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
-      }
-      top.Offer(exact, id);
-    } else {
-      ++c.entries_pruned_leaf;
+  // Backend-agnostic leaf handler. It prunes against the heap's bound, not
+  // the traversal's: the heap may hold other indexes' candidates.
+  const auto visit = [&](size_t local, double /*bound*/) {
+    size_t id = ids.offset + local;
+    if constexpr (kMapped) {
+      if (ids.ids != nullptr) id = static_cast<size_t>(ids.ids[local]);
+      if (ids.hidden != nullptr &&
+          std::binary_search(ids.hidden->begin(), ids.hidden->end(), id))
+        return top->Bound();
     }
-    return top.Bound();
+    return refiner.Visit(id, corpus_view(local, &pin),
+                         dataset_->series[local].values,
+                         has_slack ? store_.lb_slack(local) : 0.0);
   };
   {
     SAPLA_TRACE_SPAN("knn/traverse");
-    backend_->BestFirstSearch(query, query_rep, visit, &c);
+    backend_->BestFirstSearch(query.raw(), query.rep(), visit, &c,
+                              top->Bound());
   }
   FinalizeCounters(&c, dataset_->size());
-
-  result.neighbors = top.Sorted();
-  return result;
+  return c;
 }
 
 KnnResult SimilarityIndex::RangeSearch(const std::vector<double>& query,
@@ -265,10 +266,7 @@ KnnResult SimilarityIndex::RangeSearch(const std::vector<double>& query,
   SAPLA_TRACE_SPAN("range/query");
   SAPLA_DCHECK(dataset_ != nullptr);
   SAPLA_DCHECK(query.size() == dataset_->length());
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
+  const ReducedQuery reduced(*reducer_, m_, query);
   DistanceScratch scratch;
 
   KnnResult result;
@@ -278,7 +276,7 @@ KnnResult SimilarityIndex::RangeSearch(const std::vector<double>& query,
   StoreReadPin pin;
   const bool has_slack = !options_.legacy_aos_corpus && store_.quantized();
   const auto visit = [&](size_t id, double /*bound*/) {
-    double lb = FilterDistanceView(query_fitter, query_rep,
+    double lb = FilterDistanceView(reduced.fitter(), reduced.rep(),
                                    corpus_view(id, &pin), &scratch);
     if (has_slack) lb = std::max(0.0, lb - store_.lb_slack(id));
     ++c.lb_evaluations;
@@ -299,7 +297,7 @@ KnnResult SimilarityIndex::RangeSearch(const std::vector<double>& query,
   };
   {
     SAPLA_TRACE_SPAN("range/traverse");
-    backend_->BestFirstSearch(query, query_rep, visit, &c);
+    backend_->BestFirstSearch(query, reduced.rep(), visit, &c);
   }
   FinalizeCounters(&c, dataset_->size());
 
@@ -316,36 +314,42 @@ KnnResult SimilarityIndex::KnnLowerBound(const std::vector<double>& query,
   SAPLA_DCHECK(query.size() == dataset_->length());
   KnnResult result;
   if (k == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  const size_t num = dataset_->size();
+  const ReducedQuery reduced(*reducer_, m_, query);
   TopK top(k);
-  if (options_.legacy_aos_corpus) {
-    DistanceScratch scratch;
-    for (size_t id = 0; id < num; ++id)
-      top.Offer(FilterDistanceView(query_fitter, query_rep,
-                                   RepView::Of(reps_[id]), &scratch),
-                id);
-  } else {
-    // Full-corpus scan: the batched kernel streams the store's columns
-    // (or decodes frame-by-frame for a cold store). A quantized corpus's
-    // bounds are loosened by the per-series slack so the reported
-    // distances remain true lower bounds.
-    DistanceScratch scratch;
-    std::vector<double> lbs(num);
-    FilterDistanceBatch(query_fitter, query_rep, store_, nullptr, num,
-                        lbs.data(), &scratch);
-    if (store_.quantized())
-      for (size_t id = 0; id < num; ++id)
-        lbs[id] = std::max(0.0, lbs[id] - store_.lb_slack(id));
-    for (size_t id = 0; id < num; ++id) top.Offer(lbs[id], id);
-  }
+  result.counters = KnnLowerBoundInto(reduced, EntryIds{}, &top);
   result.neighbors = top.Sorted();
-  result.counters.lb_evaluations = num;
-  result.counters.cascade_stage = CascadeStage::kLeafFilter;
   return result;
+}
+
+SearchCounters SimilarityIndex::KnnLowerBoundInto(const ReducedQuery& query,
+                                                  const EntryIds& ids,
+                                                  TopK* top) const {
+  SAPLA_DCHECK(dataset_ != nullptr);
+  const size_t num = dataset_->size();
+  const auto reported = [&](size_t local) {
+    return ids.ids != nullptr ? static_cast<size_t>(ids.ids[local])
+                              : ids.offset + local;
+  };
+  // Hidden entries are left out before any evaluation: the batch below
+  // runs over the remaining local ids only.
+  std::vector<size_t> shown;
+  if (ids.hidden != nullptr) {
+    shown.reserve(num);
+    for (size_t local = 0; local < num; ++local)
+      if (!std::binary_search(ids.hidden->begin(), ids.hidden->end(),
+                              reported(local)))
+        shown.push_back(local);
+  }
+  const size_t* locals = ids.hidden != nullptr ? shown.data() : nullptr;
+  const size_t count = ids.hidden != nullptr ? shown.size() : num;
+  const std::vector<double> lbs = FilterBounds(query, locals, count);
+  for (size_t j = 0; j < count; ++j)
+    top->Offer(lbs[j], reported(locals != nullptr ? locals[j] : j));
+  SearchCounters c;
+  c.lb_evaluations = count;
+  c.entries_pruned_node = num - count;
+  c.cascade_stage = CascadeStage::kLeafFilter;
+  return c;
 }
 
 KnnResult SimilarityIndex::RangeSearchLowerBound(
@@ -353,34 +357,39 @@ KnnResult SimilarityIndex::RangeSearchLowerBound(
   SAPLA_TRACE_SPAN("range/lower_bound");
   SAPLA_DCHECK(dataset_ != nullptr);
   SAPLA_DCHECK(query.size() == dataset_->length());
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
+  const ReducedQuery reduced(*reducer_, m_, query);
   const size_t num = dataset_->size();
+  const std::vector<double> lbs = FilterBounds(reduced, nullptr, num);
   KnnResult result;
-  if (options_.legacy_aos_corpus) {
-    DistanceScratch scratch;
-    for (size_t id = 0; id < num; ++id) {
-      const double lb = FilterDistanceView(query_fitter, query_rep,
-                                           RepView::Of(reps_[id]), &scratch);
-      if (lb <= radius) result.neighbors.emplace_back(lb, id);
-    }
-  } else {
-    DistanceScratch scratch;
-    std::vector<double> lbs(num);
-    FilterDistanceBatch(query_fitter, query_rep, store_, nullptr, num,
-                        lbs.data(), &scratch);
-    if (store_.quantized())
-      for (size_t id = 0; id < num; ++id)
-        lbs[id] = std::max(0.0, lbs[id] - store_.lb_slack(id));
-    for (size_t id = 0; id < num; ++id)
-      if (lbs[id] <= radius) result.neighbors.emplace_back(lbs[id], id);
-  }
+  for (size_t id = 0; id < num; ++id)
+    if (lbs[id] <= radius) result.neighbors.emplace_back(lbs[id], id);
   std::sort(result.neighbors.begin(), result.neighbors.end());
   result.counters.lb_evaluations = num;
   result.counters.cascade_stage = CascadeStage::kLeafFilter;
   return result;
+}
+
+std::vector<double> SimilarityIndex::FilterBounds(const ReducedQuery& query,
+                                                  const size_t* locals,
+                                                  size_t count) const {
+  const auto local_of = [&](size_t j) { return locals ? locals[j] : j; };
+  DistanceScratch scratch;
+  std::vector<double> lbs(count);
+  if (options_.legacy_aos_corpus) {
+    for (size_t j = 0; j < count; ++j)
+      lbs[j] = FilterDistanceView(query.fitter(), query.rep(),
+                                  RepView::Of(reps_[local_of(j)]), &scratch);
+    return lbs;
+  }
+  // The batched kernel streams the store's columns (or decodes
+  // frame-by-frame for a cold store). A quantized corpus's bounds are
+  // loosened by the per-series slack so they remain true lower bounds.
+  FilterDistanceBatch(query.fitter(), query.rep(), store_, locals, count,
+                      lbs.data(), &scratch);
+  if (store_.quantized())
+    for (size_t j = 0; j < count; ++j)
+      lbs[j] = std::max(0.0, lbs[j] - store_.lb_slack(local_of(j)));
+  return lbs;
 }
 
 // Batch workers re-bind the per-request context (options.trace_of) before

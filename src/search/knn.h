@@ -20,10 +20,14 @@
 // bit-identically at any thread count.
 
 #include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
+#include "distance/kernels.h"
+#include "geom/line_fit.h"
 #include "index/index_backend.h"
 #include "obs/counters.h"
 #include "reduction/representation.h"
@@ -33,6 +37,105 @@
 #include "util/status.h"
 
 namespace sapla {
+
+/// \brief The k best (distance, id) pairs offered so far: a max-heap whose
+/// top is the pruning bound. Ordered on (distance, id), so equal distances
+/// keep the smaller id and the answer set — not just its order — is the
+/// same for serial, batch, shard and generation variants. One heap may
+/// collect the candidates of several indexes: IngestController runs every
+/// generation of a query into one.
+class TopK {
+ public:
+  explicit TopK(size_t k) : k_(k) {}
+
+  void Offer(double dist, size_t id) {
+    if (k_ == 0) return;
+    if (heap_.size() < k_) {
+      heap_.emplace(dist, id);
+    } else if (std::make_pair(dist, id) < heap_.top()) {
+      heap_.pop();
+      heap_.emplace(dist, id);
+    }
+  }
+
+  /// Distance a candidate must not exceed to enter: infinity until the
+  /// heap holds k pairs. Requires k > 0.
+  double Bound() const {
+    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
+                             : heap_.top().first;
+  }
+
+  size_t k() const { return k_; }
+  size_t size() const { return heap_.size(); }
+
+  /// The pairs ascending by (distance, id).
+  std::vector<std::pair<double, size_t>> Sorted() const;
+
+ private:
+  size_t k_;
+  std::priority_queue<std::pair<double, size_t>> heap_;
+};
+
+/// \brief A raw query reduced once, under one (method, m), for every index
+/// it searches: its reduction (leaf filter; PLA, CHEBY and DFT node bounds)
+/// and the prefix sums of its raw values (the Dist_LB fitter, which also
+/// keeps the raw copy the refine step measures). Not copyable: rep() views
+/// the query's own store.
+class ReducedQuery {
+ public:
+  ReducedQuery(const Reducer& reducer, size_t m, const std::vector<double>& raw);
+  ReducedQuery(const ReducedQuery&) = delete;
+  ReducedQuery& operator=(const ReducedQuery&) = delete;
+
+  const std::vector<double>& raw() const { return fitter_.values(); }
+  const RepView& rep() const { return rep_; }
+  const PrefixFitter& fitter() const { return fitter_; }
+
+ private:
+  RepresentationStore store_;  // one entry: the query's reduction
+  RepView rep_;
+  PrefixFitter fitter_;
+};
+
+/// \brief How a search reports the entries of one index. Local entry i
+/// enters the heap as ids[i] when `ids` is set, else as offset + i.
+/// Entries whose reported id is in the sorted `hidden` list (tombstones)
+/// are skipped before their lower bound is computed, so they count as
+/// pruned at node level. The default reports local ids and hides nothing.
+struct EntryIds {
+  const uint64_t* ids = nullptr;
+  size_t offset = 0;
+  const std::vector<uint64_t>* hidden = nullptr;
+
+  /// The same mapping for the entries from local id `lo` on (one shard's
+  /// slice of a sharded index).
+  EntryIds From(size_t lo) const {
+    return {ids != nullptr ? ids + lo : nullptr,
+            ids != nullptr ? 0 : offset + lo, hidden};
+  }
+};
+
+/// \brief The leaf step of every k-NN path: the Dist_LB filter against the
+/// reduced query, loosened by the entry's quantization slack, then —
+/// unless the filter exceeds the heap's bound — the exact distance on the
+/// raw series, offered to the heap. Tree leaves and the ingest memtable
+/// scan both run it, so their distances and counters agree to the bit.
+class KnnRefiner {
+ public:
+  KnnRefiner(const ReducedQuery& query, TopK* top, SearchCounters* counters)
+      : query_(query), top_(top), c_(counters) {}
+
+  /// Filters and refines the entry reported as `id`; returns the heap's
+  /// bound afterwards.
+  double Visit(size_t id, const RepView& rep, const std::vector<double>& raw,
+               double slack);
+
+ private:
+  const ReducedQuery& query_;
+  TopK* top_;
+  SearchCounters* c_;
+  DistanceScratch scratch_;  // amortizes Dist_PAR buffers across visits
+};
 
 /// Exact k-NN by full linear scan; num_measured == dataset size (0 when
 /// k == 0).
@@ -86,6 +189,20 @@ class SimilarityIndex : public SearchIndex {
   /// Branch-and-bound k-NN for a raw query of the dataset's length.
   /// k == 0 returns an empty result without touching the index.
   KnnResult Knn(const std::vector<double>& query, size_t k) const override;
+
+  /// The search behind Knn, over a query the caller reduced once under
+  /// this index's method and m: best-first filter-and-refine into `top`,
+  /// which may already hold other indexes' candidates — its bound prunes
+  /// from the first node on. Entries enter under the ids `ids` reports.
+  /// Returns this search's counters; entries it never filtered (hidden
+  /// ones included) count as pruned at node level. Requires top->k() > 0.
+  SearchCounters KnnInto(const ReducedQuery& query, const EntryIds& ids,
+                         TopK* top) const;
+
+  /// KnnLowerBound's counterpart: offers every entry not hidden, at its
+  /// lower-bounding filter distance, to `top`. No raw series is read.
+  SearchCounters KnnLowerBoundInto(const ReducedQuery& query,
+                                   const EntryIds& ids, TopK* top) const;
 
   /// Approximate k-NN from the reduced representations only: every series
   /// is ranked by its lower-bounding filter distance to the query and no
@@ -154,6 +271,18 @@ class SimilarityIndex : public SearchIndex {
   TreeStats stats() const;
 
  private:
+  /// KnnInto's body; kMapped adds the id map and the hidden-id lookup, so
+  /// a standalone index's visits carry neither.
+  template <bool kMapped>
+  SearchCounters SearchKnn(const ReducedQuery& query, const EntryIds& ids,
+                           TopK* top) const;
+
+  /// Lower-bounding filter distances of `count` entries — local ids
+  /// `locals[j]`, or 0 .. count-1 when null — loosened by each entry's
+  /// quantization slack so they stay true lower bounds.
+  std::vector<double> FilterBounds(const ReducedQuery& query,
+                                   const size_t* locals, size_t count) const;
+
   /// View of series `id`'s reduction over the active corpus layout; `pin`
   /// keeps a cold store's decoded frame alive while the view is in use
   /// (untouched for hot stores and the AoS layout).

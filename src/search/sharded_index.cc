@@ -36,7 +36,11 @@ ShardedIndex::ShardedIndex(Method method, size_t m, IndexKind kind)
 
 ShardedIndex::ShardedIndex(Method method, size_t m, IndexKind kind,
                            const Options& options)
-    : method_(method), m_(m), kind_(kind), options_(options) {
+    : method_(method),
+      m_(m),
+      kind_(kind),
+      options_(options),
+      reducer_(MakeReducer(method)) {
   // The merge contract demands per-shard answers that do not depend on the
   // partition, which DBCH's default §5.3 node distance cannot give (it is
   // knowingly approximate, index/dbch_tree.h). Force the sound regime on
@@ -51,7 +55,7 @@ std::string ShardedIndex::ShardSnapshotPath(const std::string& prefix,
   return prefix + ".shard" + std::to_string(shard) + ".snp";
 }
 
-Status ShardedIndex::InitShards(const Dataset& dataset,
+Status ShardedIndex::InitShards(Dataset dataset,
                                 const std::string& snapshot_prefix,
                                 const SnapshotLoadOptions& load_options) {
   if (options_.index.legacy_aos_corpus)
@@ -59,6 +63,7 @@ Status ShardedIndex::InitShards(const Dataset& dataset,
         "sharded index requires the columnar corpus layout");
   if (dataset.size() == 0) return Status::InvalidArgument("empty dataset");
   const size_t n = dataset.size();
+  const size_t length = dataset.length();  // before the slices move out
   const size_t count =
       std::min(std::max<size_t>(1, options_.num_shards), n);
 
@@ -70,8 +75,9 @@ Status ShardedIndex::InitShards(const Dataset& dataset,
     const auto [lo, hi] = ParallelChunk(0, n, count, s);
     auto gen = std::make_shared<Generation>();
     gen->dataset.name = dataset.name;
-    gen->dataset.series.assign(dataset.series.begin() + lo,
-                               dataset.series.begin() + hi);
+    gen->dataset.series.assign(
+        std::make_move_iterator(dataset.series.begin() + lo),
+        std::make_move_iterator(dataset.series.begin() + hi));
     gen->index =
         std::make_unique<SimilarityIndex>(method_, m_, kind_, options_.index);
     const Status st =
@@ -88,21 +94,21 @@ Status ShardedIndex::InitShards(const Dataset& dataset,
   }
   shards_ = std::move(shards);
   total_size_ = n;
-  series_length_ = dataset.length();
+  series_length_ = length;
   return Status::OK();
 }
 
-Status ShardedIndex::Build(const Dataset& dataset) {
+Status ShardedIndex::Build(Dataset dataset) {
   SAPLA_TRACE_SPAN("shard/build");
-  return InitShards(dataset, "", SnapshotLoadOptions{});
+  return InitShards(std::move(dataset), "", SnapshotLoadOptions{});
 }
 
-Status ShardedIndex::Restore(const Dataset& dataset, const std::string& prefix,
+Status ShardedIndex::Restore(Dataset dataset, const std::string& prefix,
                              const SnapshotLoadOptions& load_options) {
   SAPLA_TRACE_SPAN("shard/restore");
   if (prefix.empty())
     return Status::InvalidArgument("empty snapshot prefix");
-  return InitShards(dataset, prefix, load_options);
+  return InitShards(std::move(dataset), prefix, load_options);
 }
 
 std::pair<size_t, size_t> ShardedIndex::ShardRange(size_t shard) const {
@@ -178,6 +184,14 @@ Status ShardedIndex::RestoreShard(size_t shard, const std::string& path,
   return Status::OK();
 }
 
+void ShardedIndex::ForEachSeries(
+    const std::function<void(size_t, const TimeSeries&)>& fn) const {
+  for (const Pinned& p : PinShards()) {
+    const std::vector<TimeSeries>& series = p.gen->dataset.series;
+    for (size_t i = 0; i < series.size(); ++i) fn(p.lo + i, series[i]);
+  }
+}
+
 void ShardedIndex::SetShardHealth(size_t shard, ShardHealth health) {
   if (shard >= shards_.size()) return;
   shards_[shard]->health.store(static_cast<int>(health));
@@ -231,11 +245,69 @@ std::vector<ShardedIndex::Pinned> ShardedIndex::PinShards() const {
   return pins;
 }
 
-// Each query pins every shard's generation once, scatters (inline when
-// already inside a batch worker — ParallelFor nests safely), remaps local
-// ids to global by the shard's range start, sums the counters and sorts on
-// (distance, id). The per-shard answer sets are exact over disjoint
-// subsets, so the merge reproduces the single-index answer.
+// Each query pins every shard's generation once, reduces the query once,
+// scatters (inline when already inside a batch worker — ParallelFor nests
+// safely), has each shard report global ids (its range start plus the
+// local id) and merges the per-shard heaps under the (distance, id) order.
+// The per-shard answer sets are exact over disjoint subsets, so the merge
+// reproduces the single-index answer.
+std::vector<ShardedIndex::ShardPart> ShardedIndex::Scatter(
+    const std::vector<Pinned>& pins, const ReducedQuery& query,
+    const EntryIds& ids, bool lower_bound_only, TopK* top) const {
+  std::vector<ShardPart> parts(pins.size());
+  std::vector<TopK> heaps(pins.size(), TopK(top->k()));
+  {
+    SAPLA_TRACE_SPAN("shard/scatter");
+    ParallelFor(0, pins.size(), [&](size_t s) {
+      SAPLA_TRACE_SPAN("shard/search");
+      const Pinned& p = pins[s];
+      if (p.health == ShardHealth::kUnhealthy) return;
+      const auto w0 = SteadyClock::now();
+      const EntryIds shard_ids = ids.From(p.lo);
+      parts[s].counters =
+          lower_bound_only || p.health == ShardHealth::kDegraded
+              ? p.gen->index->KnnLowerBoundInto(query, shard_ids, &heaps[s])
+              : p.gen->index->KnnInto(query, shard_ids, &heaps[s]);
+      parts[s].us = ElapsedUs(w0);
+    });
+  }
+  for (size_t s = 0; s < pins.size(); ++s) {
+    parts[s].results = heaps[s].size();
+    for (const auto& [dist, id] : heaps[s].Sorted()) top->Offer(dist, id);
+  }
+  return parts;
+}
+
+SearchCounters ShardedIndex::ScatterInto(const ReducedQuery& query,
+                                         const EntryIds& ids,
+                                         bool lower_bound_only, TopK* top,
+                                         bool* approximate) const {
+  const std::vector<Pinned> pins = PinShards();
+  SearchCounters sum;
+  for (const ShardPart& part :
+       Scatter(pins, query, ids, lower_bound_only, top))
+    sum.Add(part.counters);
+  // An excluded shard makes any answer approximate, a degraded one an
+  // answer that was meant to be exact.
+  for (const Pinned& p : pins)
+    if (p.health == ShardHealth::kUnhealthy ||
+        (!lower_bound_only && p.health == ShardHealth::kDegraded))
+      *approximate = true;
+  return sum;
+}
+
+SearchCounters ShardedIndex::KnnInto(const ReducedQuery& query,
+                                     const EntryIds& ids, TopK* top,
+                                     bool* approximate) const {
+  return ScatterInto(query, ids, false, top, approximate);
+}
+
+SearchCounters ShardedIndex::KnnLowerBoundInto(const ReducedQuery& query,
+                                               const EntryIds& ids, TopK* top,
+                                               bool* approximate) const {
+  return ScatterInto(query, ids, true, top, approximate);
+}
+
 KnnResult ShardedIndex::Knn(const std::vector<double>& query,
                             size_t k) const {
   return KnnWithExplain(query, k, nullptr);
@@ -251,44 +323,26 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
                                        obs::QueryExplain* explain) const {
   SAPLA_TRACE_SPAN("shard/knn");
   const auto t0 = SteadyClock::now();
-  const std::vector<Pinned> pins = PinShards();
-  std::vector<KnnResult> parts(pins.size());
-  std::vector<uint64_t> part_us(explain == nullptr ? 0 : pins.size(), 0);
-  bool approximate = false;
-  for (const Pinned& p : pins)
-    if (p.health != ShardHealth::kHealthy) approximate = true;
-  uint64_t scatter_us = 0;
-  {
-    SAPLA_TRACE_SPAN("shard/scatter");
-    const auto s0 = SteadyClock::now();
-    ParallelFor(0, pins.size(), [&](size_t s) {
-      SAPLA_TRACE_SPAN("shard/search");
-      const Pinned& p = pins[s];
-      if (p.health == ShardHealth::kUnhealthy) return;
-      const auto w0 = SteadyClock::now();
-      parts[s] = p.health == ShardHealth::kDegraded
-                     ? p.gen->index->KnnLowerBound(query, k)
-                     : p.gen->index->Knn(query, k);
-      if (explain != nullptr) part_us[s] = ElapsedUs(w0);
-    });
-    scatter_us = ElapsedUs(s0);
-  }
   KnnResult out;
+  if (k == 0) return out;
+  const std::vector<Pinned> pins = PinShards();
+  for (const Pinned& p : pins)
+    if (p.health != ShardHealth::kHealthy) out.approximate = true;
+  const ReducedQuery reduced(*reducer_, m_, query);
+  TopK top(k);
+  const auto s0 = SteadyClock::now();
+  const std::vector<ShardPart> parts =
+      Scatter(pins, reduced, EntryIds{}, false, &top);
+  const uint64_t scatter_us = ElapsedUs(s0);
   uint64_t merge_us = 0;
   {
     SAPLA_TRACE_SPAN("shard/merge");
     const auto m0 = SteadyClock::now();
-    for (size_t s = 0; s < pins.size(); ++s) {
-      for (const auto& [dist, id] : parts[s].neighbors)
-        out.neighbors.emplace_back(dist, id + pins[s].lo);
-      out.num_measured += parts[s].num_measured;
-      out.counters.Add(parts[s].counters);
-    }
-    std::sort(out.neighbors.begin(), out.neighbors.end());
-    if (out.neighbors.size() > k) out.neighbors.resize(k);
+    for (const ShardPart& part : parts) out.counters.Add(part.counters);
+    out.num_measured = out.counters.exact_evaluations;
+    out.neighbors = top.Sorted();
     merge_us = ElapsedUs(m0);
   }
-  out.approximate = approximate;
   if (explain != nullptr) {
     explain->trace_id = obs::CurrentTraceContext().trace_id;
     explain->total_us = ElapsedUs(t0);
@@ -300,8 +354,8 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
       obs::ShardExplain part;
       part.part = "shard" + std::to_string(s);
       part.health = static_cast<int>(pins[s].health);
-      part.dur_us = part_us[s];
-      part.results = parts[s].neighbors.size();
+      part.dur_us = parts[s].us;
+      part.results = parts[s].results;
       part.counters = parts[s].counters;
       explain->parts.push_back(std::move(part));
     }
@@ -312,27 +366,13 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
 KnnResult ShardedIndex::KnnLowerBound(const std::vector<double>& query,
                                       size_t k) const {
   SAPLA_TRACE_SPAN("shard/knn_lb");
-  const std::vector<Pinned> pins = PinShards();
-  std::vector<KnnResult> parts(pins.size());
-  bool approximate = false;
-  ParallelFor(0, pins.size(), [&](size_t s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) return;
-    parts[s] = pins[s].gen->index->KnnLowerBound(query, k);
-  });
   KnnResult out;
-  for (size_t s = 0; s < pins.size(); ++s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) {
-      approximate = true;
-      continue;
-    }
-    for (const auto& [dist, id] : parts[s].neighbors)
-      out.neighbors.emplace_back(dist, id + pins[s].lo);
-    out.num_measured += parts[s].num_measured;
-    out.counters.Add(parts[s].counters);
-  }
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
-  out.approximate = approximate;
+  if (k == 0) return out;
+  const ReducedQuery reduced(*reducer_, m_, query);
+  TopK top(k);
+  out.counters =
+      KnnLowerBoundInto(reduced, EntryIds{}, &top, &out.approximate);
+  out.neighbors = top.Sorted();
   return out;
 }
 

@@ -6,12 +6,13 @@
 //
 // The corpus is split into N contiguous id ranges by the same deterministic
 // chunking ParallelFor uses (util/parallel.h ParallelChunk), one
-// SimilarityIndex per range. Queries scatter to every healthy shard on the
-// shared thread pool and the per-shard answers merge under the established
-// (distance, id) tie-break. Because each shard searches its subset exactly,
-// the union of per-shard top-k contains the global top-k; sorting the union
-// and truncating to k reproduces the single-index answer bit-identically —
-// same ids, same distances — at every shard count.
+// SimilarityIndex per range. A query is reduced once, scattered to every
+// healthy shard on the shared thread pool, and the per-shard answers merge
+// under the established (distance, id) tie-break. Because each shard
+// searches its subset exactly, the union of per-shard top-k contains the
+// global top-k; offering the union to one top-k heap reproduces the
+// single-index answer bit-identically — same ids, same distances — at every
+// shard count.
 //
 // Counters contract: the merged SearchCounters are the field-wise sum of
 // the per-shard counters (obs/counters.h Add; cascade_stage is the max).
@@ -24,7 +25,7 @@
 // preserves the per-query invariants (lb = exact + pruned_leaf, etc.).
 //
 // Generations and live swap: each shard serves one immutable Generation (a
-// shard-local Dataset copy + its built index) published through a
+// shard-local Dataset + its built index) published through a
 // shared_ptr. A query pins the generations of every shard once, up front,
 // so a concurrent swap never mixes generations within one query. Swapping
 // (RebuildShard / RestoreShard) builds the next generation off to the side
@@ -42,6 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,10 +80,11 @@ class ShardedIndex : public SearchIndex {
   ~ShardedIndex() override;
 
   /// Partitions `dataset` into contiguous id ranges and builds one shard
-  /// per range. Each shard copies its slice, so `dataset` need not outlive
-  /// the index. Shards build sequentially; each build's reduction fans
-  /// across the pool internally.
-  Status Build(const Dataset& dataset);
+  /// per range. Each shard takes its slice by move, so the index holds the
+  /// only copy of every raw series; pass an rvalue to avoid copying the
+  /// input. Shards build sequentially; each build's reduction fans across
+  /// the pool internally.
+  Status Build(Dataset dataset);
 
   /// Deterministic global-id range [lo, hi) owned by `shard`.
   std::pair<size_t, size_t> ShardRange(size_t shard) const;
@@ -104,7 +107,7 @@ class ShardedIndex : public SearchIndex {
   /// one; any mismatch or corruption rejects the whole restore.
   /// `load_options.cold_store` serves every shard's store mmap-backed
   /// (requires v4 store sections).
-  Status Restore(const Dataset& dataset, const std::string& prefix,
+  Status Restore(Dataset dataset, const std::string& prefix,
                  const SnapshotLoadOptions& load_options = {});
 
   /// Live swap: rebuilds `shard`'s generation from its retained slice and
@@ -118,6 +121,30 @@ class ShardedIndex : public SearchIndex {
   /// and publishes it atomically. Also resets the shard to healthy.
   Status RestoreShard(size_t shard, const std::string& path,
                       const SnapshotLoadOptions& load_options = {});
+
+  /// Calls `fn(id, series)` for every indexed series in ascending id order,
+  /// reading each shard's live generation (pinned for the call). The
+  /// shards hold the index's only copy of the raw series; owners that need
+  /// them back (IngestController's compaction and checkpoints) read them
+  /// here.
+  void ForEachSeries(
+      const std::function<void(size_t, const TimeSeries&)>& fn) const;
+
+  /// Knn over a query the caller reduced once (under this index's method
+  /// and m) into a caller-owned heap; this index's id g enters as `ids`
+  /// reports local entry g. Healthy shards search in parallel, each into
+  /// its own heap that merges into `top` afterwards (so candidates already
+  /// in `top` do not prune them); degraded shards offer lower-bound
+  /// candidates and unhealthy ones nothing, and either sets *approximate.
+  /// Returns the shards' summed counters. Requires top->k() > 0.
+  SearchCounters KnnInto(const ReducedQuery& query, const EntryIds& ids,
+                         TopK* top, bool* approximate) const;
+
+  /// KnnLowerBound's counterpart: every shard but the unhealthy ones (which
+  /// set *approximate) offers lower-bound candidates.
+  SearchCounters KnnLowerBoundInto(const ReducedQuery& query,
+                                   const EntryIds& ids, TopK* top,
+                                   bool* approximate) const;
 
   /// Sets one shard's health (the serving layer and the chaos harness
   /// drive this). Takes effect for queries that start afterwards.
@@ -189,9 +216,29 @@ class ShardedIndex : public SearchIndex {
     size_t lo = 0;
   };
 
+  /// One shard's share of a scattered k-NN query.
+  struct ShardPart {
+    SearchCounters counters;
+    size_t results = 0;  ///< candidates its heap held
+    uint64_t us = 0;     ///< wall time of its search
+  };
+
   std::vector<Pinned> PinShards() const;
-  /// Shared Knn body: scatter, per-shard search, merge; fills `*explain`
-  /// (when non-null) from the same per-shard results it merges.
+  /// Scatters a pre-reduced k-NN query over the pinned shards into `top`:
+  /// in parallel, every shard that is not unhealthy runs KnnInto into its
+  /// own heap — KnnLowerBoundInto when `lower_bound_only` or the shard is
+  /// degraded — and the heaps merge into `top` afterwards.
+  std::vector<ShardPart> Scatter(const std::vector<Pinned>& pins,
+                                 const ReducedQuery& query,
+                                 const EntryIds& ids, bool lower_bound_only,
+                                 TopK* top) const;
+  /// KnnInto / KnnLowerBoundInto: Scatter over freshly pinned shards,
+  /// counters summed, *approximate set as documented there.
+  SearchCounters ScatterInto(const ReducedQuery& query, const EntryIds& ids,
+                             bool lower_bound_only, TopK* top,
+                             bool* approximate) const;
+  /// Shared Knn body: reduce once, scatter, merge; fills `*explain` (when
+  /// non-null) from the same per-shard results it merges.
   KnnResult KnnWithExplain(const std::vector<double>& query, size_t k,
                            obs::QueryExplain* explain) const;
   /// Shared RangeSearch body, same explain contract.
@@ -200,7 +247,7 @@ class ShardedIndex : public SearchIndex {
                                    obs::QueryExplain* explain) const;
   /// Shared Build/Restore body: partitions, then builds each shard or
   /// loads it from `snapshot_prefix` (empty = build).
-  Status InitShards(const Dataset& dataset, const std::string& snapshot_prefix,
+  Status InitShards(Dataset dataset, const std::string& snapshot_prefix,
                     const SnapshotLoadOptions& load_options);
   /// Atomically swaps in a shard's next generation and resets its health.
   void Publish(size_t shard, std::shared_ptr<const Generation> gen);
@@ -209,6 +256,8 @@ class ShardedIndex : public SearchIndex {
   size_t m_;
   IndexKind kind_;
   Options options_;
+  /// Reduces each query once for all shards.
+  std::unique_ptr<Reducer> reducer_;
   size_t total_size_ = 0;
   size_t series_length_ = 0;
   /// Fixed after Build/Restore; the deque-free stable vector is never

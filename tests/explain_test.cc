@@ -114,6 +114,10 @@ TEST(ExplainTest, IngestPartCountersSumAcrossGenerations) {
   ASSERT_GE(explain.parts.size(), 2u);  // sealed generation(s) + memtable
   ExpectPartsSumToTotal(explain);
   EXPECT_NE(explain.epoch_seq, 0u);
+  // The generations share one heap; each part reports its share of it.
+  size_t results = 0;
+  for (const obs::ShardExplain& part : explain.parts) results += part.results;
+  EXPECT_EQ(results, with.neighbors.size());
 }
 
 TEST(ExplainTest, ExplainJsonCarriesThePartBreakdown) {

@@ -230,6 +230,96 @@ TEST_P(IngestSweep, BatchesMatchSerialAtEveryThreadCount) {
   }
 }
 
+// A query's 2k nearest sealed series are deleted before compaction, so the
+// tombstones outnumber k and hide the best candidates of both sealed
+// generations. The query's one shared heap skips them before their lower
+// bound, with no over-fetch, and its exact and degraded answers must still
+// equal the static rebuild's. PAALM is left out: its filter is not a lower
+// bound (its smoothed values are off-mean), so which candidates survive it
+// depends on the order they are met in, and there is no exact answer to
+// compare with.
+TEST_P(IngestSweep, TombstonesHidingTheNearestSealedSeriesMatchStatic) {
+  if (GetParam().method == Method::kPaalm)
+    GTEST_SKIP() << "PAALM's filter distance is not a lower bound";
+  const Dataset src = SourceData(43);
+  IngestOptions options;
+  options.memtable_max = 0;
+  options.compact_min_minors = 0;
+  options.num_shards = 2;
+  auto ctrl = Make(options);
+  const auto insert_range = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      ASSERT_TRUE(ctrl->Insert(src.series[i].values, src.series[i].label).ok());
+    }
+  };
+  insert_range(0, 50);  // main: ids 0..49
+  ASSERT_TRUE(ctrl->Seal().ok());
+  ASSERT_TRUE(ctrl->Compact().ok());
+  insert_range(50, 80);  // one minor: ids 50..79
+  ASSERT_TRUE(ctrl->Seal().ok());
+  insert_range(80, 90);  // memtable: ids 80..89
+
+  const std::vector<double>& q = src.series[19].values;
+  std::vector<std::pair<double, uint64_t>> sealed;
+  for (uint64_t id = 0; id < 80; ++id)
+    sealed.emplace_back(EuclideanDistance(q, src.series[id].values), id);
+  std::sort(sealed.begin(), sealed.end());
+  for (size_t r = 0; r < 2 * kK; ++r)
+    ASSERT_TRUE(ctrl->Delete(sealed[r].second).ok());
+  ASSERT_EQ(ctrl->GetEpochStats().tombstones, 2 * kK);
+
+  const std::vector<std::vector<double>> queries = {q, src.series[58].values,
+                                                    src.series[84].values};
+  ExpectFullParity(*ctrl, queries, "2k nearest hidden");
+  const StaticBaseline b = BuildBaseline(*ctrl);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const KnnResult live = ctrl->KnnLowerBound(queries[qi], kK);
+    EXPECT_EQ(live.neighbors,
+              ToGlobal(b.index->KnnLowerBound(queries[qi], kK), b.ids))
+        << "lower bound q" << qi;
+    EXPECT_EQ(live.neighbors.size(), kK);
+  }
+}
+
+// Tombstoned entries are skipped before their lower bound is computed:
+// they count as pruned at node level, never as lower-bound evaluations.
+TEST_P(IngestSweep, TombstonedEntriesCountAsPrunedAtNodeLevel) {
+  const Dataset src = SourceData(47);
+  IngestOptions options;
+  options.memtable_max = 0;
+  options.compact_min_minors = 0;
+  auto ctrl = Make(options);
+  for (size_t i = 0; i < 65; ++i) {
+    ASSERT_TRUE(ctrl->Insert(src.series[i].values).ok());
+    if (i == 39) {
+      ASSERT_TRUE(ctrl->Seal().ok());
+      ASSERT_TRUE(ctrl->Compact().ok());  // main: ids 0..39
+    }
+    if (i == 59) {
+      ASSERT_TRUE(ctrl->Seal().ok());  // minor: ids 40..59
+    }
+  }
+  for (uint64_t id = 0; id < 60; ++id) {
+    ASSERT_TRUE(ctrl->Delete(id).ok());
+  }
+  ASSERT_EQ(ctrl->GetEpochStats().tombstones, 60u);
+
+  const std::vector<double>& q = src.series[3].values;
+  const KnnResult r = ctrl->Knn(q, kK);
+  const SearchCounters& c = r.counters;
+  EXPECT_LE(c.lb_evaluations, 5u);  // the memtable's five entries at most
+  EXPECT_EQ(c.lb_evaluations + c.entries_pruned_node, 65u);
+  EXPECT_EQ(c.lb_evaluations, c.exact_evaluations + c.entries_pruned_leaf);
+  EXPECT_EQ(r.num_measured, c.exact_evaluations);
+  ASSERT_EQ(r.neighbors.size(), kK);
+  for (const auto& [dist, id] : r.neighbors) EXPECT_GE(id, 60u);
+
+  const KnnResult lb = ctrl->KnnLowerBound(q, kK);
+  EXPECT_EQ(lb.counters.lb_evaluations, 5u);
+  EXPECT_EQ(lb.counters.entries_pruned_node, 60u);
+  ExpectFullParity(*ctrl, {q}, "all sealed entries hidden");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     MethodsTimesTrees, IngestSweep,
     ::testing::ValuesIn([] {

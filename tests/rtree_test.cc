@@ -154,6 +154,38 @@ TEST(RTree, SearchPrunesWithExactBound) {
   EXPECT_LT(touched, pts.size() / 2);
 }
 
+// A finite starting bound (the k-th distance another index left in a heap
+// several indexes share) prunes from the root's children on, before any
+// entry has been visited; entries within it are all still visited.
+TEST(RTree, StartingBoundPrunesBeforeTheFirstVisit) {
+  const auto pts = RandomPoints(9, 300, 3);
+  RTree tree(3);
+  for (size_t i = 0; i < pts.size(); ++i) tree.Insert(pts[i], i);
+  const std::vector<double>& q = pts[42];
+  const double radius = 30.0;
+  std::set<size_t> seen;
+  SearchCounters counters;
+  tree.BestFirstSearch(
+      [&](const std::vector<double>& lo, const std::vector<double>& hi) {
+        return PointBoxDist(q, lo, hi);
+      },
+      [&](size_t id, double bound) {
+        EXPECT_EQ(bound, radius);  // the visit never tightened it
+        seen.insert(id);
+        return bound;
+      },
+      &counters, radius);
+  size_t within = 0;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (PointDist(q, pts[i]) > radius) continue;
+    ++within;
+    EXPECT_TRUE(seen.count(i)) << i;
+  }
+  EXPECT_GT(within, 1u);
+  EXPECT_LT(seen.size(), pts.size() / 2);
+  EXPECT_GT(counters.nodes_pruned, 0u);
+}
+
 TEST(RTree, DuplicatePointsAllRetained) {
   RTree tree(2);
   const std::vector<double> p{1.0, 2.0};
